@@ -5,8 +5,8 @@ admissibility conditions that cubic has exactly one real root alpha,
 sitting in (0, 1). Doubling alpha modulo 1 over and over is the classic
 bit-extraction dynamics, and the whole point of the package is that the
 triple lets us do it with integers only: no rounding, ever. The emitted
-bits are, provably, the binary expansion of alpha, and a completely
-independent bisection routine can confirm that on demand.
+bits are, provably, the binary expansion of alpha, and a dyadic interval
+checked on the original cubic confirms that on demand.
 """
 
 from cubicorbit import (OrbitState, generate_bits, isolate_root_bits,
@@ -28,17 +28,17 @@ for n in range(6):
     print(f"  {n}   {bit}    {nxt.as_tuple()}")
     t = nxt
 
-# --- bulk generation and the independent cross-check ------------------
+# --- bulk generation (one certified jump) and the cross-check ----------
 bits, state = generate_bits(seed, 64)
 expansion, interval = isolate_root_bits(seed, 64)
 print("\ngenerated :", bits.to01())
-print("bisection :", expansion)
+print("root bits :", expansion)
 print("agree     :", bits.to01() == expansion)
 
 # --- resumable state ---------------------------------------------------
 # The final state is a checkpoint: continuing from it is bit-identical
-# to one long run. Coefficients grow ~2 bits per emitted bit, so long
-# runs cost quadratic time; checkpoints make them restartable.
+# to one long run. Coefficients grow ~2 bits per emitted bit, so the
+# state of a long run is large; checkpoints make runs restartable.
 more, _ = generate_bits(state, 16)
 whole, _ = generate_bits(seed, 80)
 print("\nresume matches one-shot:", (bits + more) == whole)

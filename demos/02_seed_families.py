@@ -1,7 +1,7 @@
 """Seed families: many well-separated starting points at once.
 
-Generating one long sequence costs quadratic time, so it is much
-cheaper to generate many short sequences. That needs many seeds, and
+Generating many shorter sequences side by side is the cheap way to
+produce large volumes (and parallelizes). That needs many seeds, and
 two guarantees: the seeds' roots should cover (0, 1) evenly, and their
 orbits must never merge. Fixing (b, c) and letting d run from -1 down
 to -(b+c) gives both, and everything here is checkable.
@@ -27,7 +27,7 @@ for m in fam:
         print("non-source member:", m.as_tuple(), "->", v.reason.value)
 
 # --- roots spread almost equidistantly --------------------------------
-# Consecutive root gaps, certified by exact bisection enclosures. For
+# Consecutive root gaps, certified by exact dyadic enclosures. For
 # b=0 every gap g obeys c/(c+3) < g*c < 1, at any c.
 rep = gap_report(fam, precision=64)
 print("\ncertified gaps (times c):")

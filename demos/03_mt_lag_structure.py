@@ -36,7 +36,7 @@ diag = sum(1 for p in pairs_mt if p.y_top8 == p.y_lag_top8)
 print(f"\nMT19937: {len(pairs_mt)} filtered pairs, {diag} on the diagonal")
 
 # --- generator side: same filter, no structure --------------------------
-print(f"\ngenerating {n_bits} exact bits (quadratic cost, be patient)...")
+print(f"\ngenerating {n_bits} exact bits...")
 bits, _ = generate_bits(validate_triple(0, 1, -1), n_bits)
 words_cubic = bits.pack_words().words
 pairs_cubic = scan_conditions_ab(words_cubic, a, b)

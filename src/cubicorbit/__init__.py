@@ -2,10 +2,11 @@
 
 The package has three legs:
 
-* the generator itself: integer-only iteration of the doubling map on
-  coefficient triples, plus seed-family construction and audits,
-* an exact bisection oracle that recovers the same bits as the binary
-  expansion of the represented cubic irrational,
+* the generator itself: the doubling map on coefficient triples, one
+  step or a certified jump at a time, plus seed-family construction and
+  audits,
+* an exact root oracle: certified dyadic intervals that recover the same
+  bits as the binary expansion of the represented cubic irrational,
 * analysis tooling: a reference MT19937 with its GF(2) lag recurrence,
   and a small statistical test battery.
 """
@@ -18,7 +19,8 @@ from .mt19937 import (MT19937, DataCorrupt, LagPair, RankDeficient,
                       untemper, verify_recurrence)
 from .orbit import (Branch, CoeffTriple, CoefficientLimitExceeded,
                     ConditionViolation, HalfRoot, OrbitState, branch_sign,
-                    generate_bits, inverse_step, step, validate_triple)
+                    generate_bits, inverse_step, jump, shifted, step,
+                    validate_triple)
 from .roots import (CorruptState, Dyadic, RootInterval, isolate_root_bits,
                     poly_sign_at_dyadic, refine_to_resolution)
 from .seeds import (DistinctnessReport, GapEntry, GapReport, InvalidShape,
@@ -40,7 +42,7 @@ __all__ = [
     "temper", "untemper", "verify_recurrence",
     "Branch", "CoeffTriple", "CoefficientLimitExceeded", "ConditionViolation",
     "HalfRoot", "OrbitState", "branch_sign", "generate_bits", "inverse_step",
-    "step", "validate_triple",
+    "jump", "shifted", "step", "validate_triple",
     "CorruptState", "Dyadic", "RootInterval", "isolate_root_bits",
     "poly_sign_at_dyadic", "refine_to_resolution",
     "DistinctnessReport", "GapEntry", "GapReport", "InvalidShape",

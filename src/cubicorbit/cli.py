@@ -2,7 +2,7 @@
 
 Subcommands:
     generate   emit bits from one triple or a whole seed family
-    verify     compare generator output against the bisection oracle
+    verify     compare generator output against the root oracle
     seeds      build a seed family and run its audits, JSON out
     mt         reference-generator tooling: gen / verify / recover / scan
     stats      run the randomness test battery over a bit file
@@ -28,9 +28,9 @@ from .bitstream import (BitStream, OutputFormat, read_bits, read_words_le,
 from .mt19937 import (MT19937, DEFAULT_SEED, lag_pairs_csv,
                       load_recurrence_matrices, recover_matrices,
                       scan_conditions_ab, verify_recurrence)
-from .orbit import (CoeffTriple, ConditionViolation, HalfRoot, OrbitState,
-                    generate_bits, validate_triple)
-from .roots import isolate_root_bits
+from .orbit import (CoefficientLimitExceeded, CoeffTriple, ConditionViolation,
+                    HalfRoot, OrbitState, generate_bits, validate_triple)
+from .roots import CorruptState, isolate_root_bits
 from .seeds import (InvalidShape, build_seed_set, field_distinctness_check,
                     gap_report, is_source_point, merger_audit)
 from .stats import InputTooShort, run_suite
@@ -71,6 +71,9 @@ def cmd_generate(args) -> int:
         except ValueError:
             raise ValueError(f"generate: --seed-set wants 'B,C', "
                              f"got {args.seed_set!r}") from None
+        if not 0 <= args.drop_prefix_bits < args.per_seed_bits:
+            raise ValueError("generate: --drop-prefix-bits must be at least 0 "
+                             "and less than --per-seed-bits")
         fam = build_seed_set(b_val, c_val)
         jobs = [(m.as_tuple(), args.per_seed_bits, args.drop_prefix_bits)
                 for m in fam.members]
@@ -89,8 +92,9 @@ def cmd_generate(args) -> int:
         stream, final = generate_bits(state, args.bits,
                                       max_coeff_bits=args.max_coeff_bits)
         if args.checkpoint:
+            text = final.to_text()
             with open(args.checkpoint, "w") as fh:
-                fh.write(final.to_text())
+                fh.write(text)
     if out_path == "-":
         if fmt is not OutputFormat.ASCII_BITS:
             raise ValueError("generate: only --format ascii can write to stdout")
@@ -236,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="orbit state file to continue from")
     p.add_argument("--checkpoint", help="write the final orbit state here")
     p.add_argument("--max-coeff-bits", type=int, default=None,
-                   help="abort once a coefficient exceeds this many bits")
+                   help="fail, writing nothing, if a coefficient of the "
+                        "final state exceeds this many bits")
     p.add_argument("--seed-set", metavar="B,C",
                    help="generate from every member of the (B,C) family, "
                         "concatenated in descending d order")
@@ -300,8 +305,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConditionViolation, HalfRoot, InvalidShape, InputTooShort,
-            ValueError, OSError) as exc:
+    except (ConditionViolation, HalfRoot, CoefficientLimitExceeded,
+            CorruptState, InvalidShape, InputTooShort, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,16 +19,24 @@ where t = 1 + 2b + 4c + 8d (note t is exactly the new d). Both images
 satisfy (i)-(iii) again, so iteration never leaves the admissible set,
 and the emitted bits are the binary expansion of alpha.
 
-The update uses only shifts by 1-3 bits and small-constant additions;
-no general big-integer multiplication happens while generating. Each
-step costs time linear in the coefficient size, which itself grows
-linearly in the step count, so an n-bit run costs O(n^2) word
-operations overall. Budget accordingly for long runs.
+After n steps with bits m = floor(2^n * alpha) (read as an integer) the
+triple is the Taylor shift 8^n * f((x + m) / 2^n), i.e.
+
+    (3m + b*2^n,  3m^2 + 2b*2^n*m + c*4^n,  8^n * f(m / 2^n)),
+
+and (ii), (iii) on it say exactly f(m/2^n) < 0 < f((m+1)/2^n), so
+constructing it certifies all n bits at once. jump() finds m by integer
+Newton steps with precision doubling (exact bisection for the first few
+bits of a small triple) and certifies every step that way; its cost is
+a few big multiplications and one division per doubling, against
+O(n^2) for n single steps. step() stays as the one-bit reference.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from typing import Tuple, Union
 
@@ -38,8 +46,13 @@ from .bitstream import BitStream
 
 try:
     from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional "gmp" extra
     mpz = int
+
+
+def _show(v: int) -> str:
+    """v in decimal, or its size once it is too wide for a message."""
+    return str(v) if v.bit_length() <= 256 else f"<{v.bit_length()}-bit integer>"
 
 
 class ConditionViolation(ValueError):
@@ -47,7 +60,8 @@ class ConditionViolation(ValueError):
 
     def __init__(self, condition: str, b: int, c: int, d: int):
         self.condition = condition
-        super().__init__(f"condition ({condition}) fails for (b,c,d)=({b},{c},{d})")
+        super().__init__(f"condition ({condition}) fails for "
+                         f"(b,c,d)=({_show(b)},{_show(c)},{_show(d)})")
 
 
 class HalfRoot(ValueError):
@@ -77,7 +91,8 @@ class CoeffTriple:
         if self.half_value == 0:
             # Impossible when (i)-(iii) hold and the cubic is irreducible,
             # which (i)-(iii) force; kept as a corruption tripwire.
-            raise HalfRoot(f"1+2b+4c+8d = 0 for (b,c,d)=({b},{c},{d})")
+            raise HalfRoot(f"1+2b+4c+8d = 0 for "
+                           f"(b,c,d)=({_show(b)},{_show(c)},{_show(d)})")
 
     @property
     def half_value(self) -> int:
@@ -160,6 +175,14 @@ def inverse_step(t: CoeffTriple) -> CoeffTriple | None:
 
 
 STATE_FORMAT = "cubicorbit-orbit-state 1"
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _int_from_text(s: str) -> int:
+    # Decimal is exempt from the int/str digit limit (CPython >= 3.11)
+    if not _INTEGER.fullmatch(s):
+        raise ValueError(f"orbit state field is not an integer: {s[:40]!r}")
+    return int(Decimal(s))
 
 
 @dataclass(frozen=True)
@@ -170,9 +193,9 @@ class OrbitState:
     step_index: int = 0
 
     def to_text(self) -> str:
-        t = self.triple
+        b, c, d = (Decimal(v) for v in self.triple.as_tuple())
         return (f"{STATE_FORMAT}\n"
-                f"b {t.b}\nc {t.c}\nd {t.d}\nstep {self.step_index}\n")
+                f"b {b}\nc {c}\nd {d}\nstep {self.step_index}\n")
 
     @classmethod
     def from_text(cls, text: str) -> "OrbitState":
@@ -182,7 +205,7 @@ class OrbitState:
         fields = {}
         for ln in lines[1:]:
             key, _, value = ln.partition(" ")
-            fields[key] = int(value)
+            fields[key] = _int_from_text(value)
         missing = {"b", "c", "d", "step"} - fields.keys()
         if missing:
             raise ValueError(f"orbit state missing fields: {sorted(missing)}")
@@ -192,42 +215,69 @@ class OrbitState:
                    fields["step"])
 
 
-def _run(b, c, d, out: bytearray) -> Tuple[int, int, int]:
-    """Tight generation loop; fills out with bits, returns the final triple."""
-    b, c, d = mpz(b), mpz(c), mpz(d)
-    for i in range(len(out)):
-        b2 = b << 1
-        c4 = c << 2
-        d8 = d << 3
-        t = 1 + b2 + c4 + d8
-        if t > 0:
-            b, c, d = b2, c4, d8
-        elif t < 0:
-            out[i] = 1
-            b, c, d = b2 + 3, ((b + c) << 2) + 3, t
-        else:
-            raise HalfRoot("1+2b+4c+8d = 0; state is corrupt")
-    return int(b), int(c), int(d)
+def _shift(b, c, d, x, k):
+    """8^k * f((y + x) / 2^k): the triple after k steps whose bits are x."""
+    bk = b << k
+    ck = c << (2 * k)
+    return (3 * x + bk,
+            (3 * x + 2 * bk) * x + ck,
+            ((x + bk) * x + ck) * x + (d << (3 * k)))
 
 
-def _run_guarded(b, c, d, out: bytearray, limit: int) -> Tuple[int, int, int]:
-    b, c, d = mpz(b), mpz(c), mpz(d)
-    for i in range(len(out)):
-        b2 = b << 1
-        c4 = c << 2
-        d8 = d << 3
-        t = 1 + b2 + c4 + d8
-        if t > 0:
-            b, c, d = b2, c4, d8
-        elif t < 0:
-            out[i] = 1
-            b, c, d = b2 + 3, ((b + c) << 2) + 3, t
-        else:
-            raise HalfRoot("1+2b+4c+8d = 0; state is corrupt")
-        if max(b.bit_length(), c.bit_length(), d.bit_length()) > limit:
-            raise CoefficientLimitExceeded(
-                f"coefficients crossed {limit} bits at step {i + 1}")
-    return int(b), int(c), int(d)
+def shifted(t: CoeffTriple, m: int, n: int) -> CoeffTriple:
+    """The triple n steps on from t whose bits are m: the certificate.
+
+    Raises ConditionViolation unless m = floor(2^n * alpha).
+    """
+    return CoeffTriple(*_shift(t.b, t.c, t.d, m, n))
+
+
+# Each Newton estimate is off by at most one; more means corrupt input.
+_MAX_CORRECTIONS = 2
+
+
+def jump(t: CoeffTriple, n: int) -> Tuple[int, CoeffTriple]:
+    """(m, shifted(t, m, n)) for m = floor(2^n * alpha): n steps at once.
+
+    Every precision-doubling step is certified by its shifted triple
+    before the next starts, so no uncertified bit is ever returned.
+    """
+    if n < 0:
+        raise ValueError("bit count must be nonnegative")
+    b, c, d = mpz(t.b), mpz(t.c), mpz(t.d)
+    m = 0
+    left = n
+    while left:
+        # -d/c is within (|b| + 1)/c of the root, so this k keeps the
+        # estimate of the next k bits within 1/2 before rounding down;
+        # keeping only the top k + 8 bits of c and d adds less than 1/16.
+        k = min(left, c.bit_length() - (abs(b) + 1).bit_length() - 2)
+        if k < 1:  # triple still small: one exact bisection step
+            h = 1 + 2 * b + 4 * c + 8 * d  # 8 f(1/2)
+            m, left = 2 * m + (h < 0), left - 1
+            if h > 0:
+                b, c, d = 2 * b, 4 * c, 8 * d
+            else:
+                b, c, d = 2 * b + 3, 4 * (b + c) + 3, h
+            continue
+        s = max(0, c.bit_length() - k - 8)
+        x = ((-d >> s) << k) // (c >> s)
+        b1, c1, d1 = _shift(b, c, d, x, k)
+        for _ in range(_MAX_CORRECTIONS):
+            if d1 >= 0:                    # f(x / 2^k) >= 0: x too large
+                x -= 1
+                b1, c1, d1 = b1 - 3, c1 - 2 * b1 + 3, d1 - c1 + b1 - 1
+            elif 1 + b1 + c1 + d1 <= 0:    # f((x + 1) / 2^k) <= 0: too small
+                x += 1
+                b1, c1, d1 = b1 + 3, c1 + 2 * b1 + 3, 1 + b1 + c1 + d1
+            else:
+                break
+        else:  # out of corrections: raises ConditionViolation unless certified
+            CoeffTriple(int(b1), int(c1), int(d1))
+        m = (m << k) | x
+        b, c, d = b1, c1, d1
+        left -= k
+    return int(m), CoeffTriple(int(b), int(c), int(d))
 
 
 def generate_bits(
@@ -239,17 +289,17 @@ def generate_bits(
 
     Deterministic: a given seed and n always produce the same output, and
     generating a+b bits equals generating a bits and then b more from the
-    returned state. max_coeff_bits, when set, aborts the run with
-    CoefficientLimitExceeded once any coefficient outgrows that many bits.
+    returned state. max_coeff_bits, when set, raises
+    CoefficientLimitExceeded if a coefficient of the final state is wider
+    than that many bits; the check runs before any bit is returned.
     """
-    if n < 0:
-        raise ValueError("bit count must be nonnegative")
     state = seed if isinstance(seed, OrbitState) else OrbitState(seed, 0)
-    out = bytearray(n)
-    t = state.triple
-    if max_coeff_bits is None:
-        b, c, d = _run(t.b, t.c, t.d, out)
-    else:
-        b, c, d = _run_guarded(t.b, t.c, t.d, out, max_coeff_bits)
-    final = OrbitState(CoeffTriple(b, c, d), state.step_index + n)
-    return BitStream(np.frombuffer(bytes(out), dtype=np.uint8)), final
+    m, triple = jump(state.triple, n)
+    if max_coeff_bits is not None and triple.max_coeff_bits() > max_coeff_bits:
+        raise CoefficientLimitExceeded(
+            f"coefficients reach {triple.max_coeff_bits()} bits after "
+            f"{n} steps, over the {max_coeff_bits}-bit limit")
+    n_bytes = (n + 7) // 8
+    packed = np.frombuffer(m.to_bytes(n_bytes, "big"), dtype=np.uint8)
+    bits = np.unpackbits(packed)[8 * n_bytes - n:]
+    return BitStream(bits), OrbitState(triple, state.step_index + n)

@@ -1,13 +1,14 @@
-"""Certified root isolation for admissible cubics by dyadic bisection.
+"""Certified root isolation for admissible cubics on dyadic intervals.
 
 Everything here is exact. Evaluation points are dyadic rationals
 p / 2^e, and the cubic's sign there is read off the integer
 
     p^3 + b*p^2*2^e + c*p*4^e + d*8^e = 8^e * f(p / 2^e),
 
-so no rounding enters anywhere. Bisecting [0, 1) then peels off the
-binary expansion of the root one certified bit at a time, which is the
-independent ground truth the orbit generator is checked against.
+so no rounding enters anywhere. The first k binary digits of the root,
+read as an integer m, are certified by f(m / 2^k) < 0 < f((m+1) / 2^k),
+which RootInterval checks on the original cubic. m itself comes from
+orbit.jump; the certificate does not depend on how it was found.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .orbit import CoeffTriple
+from .orbit import CoeffTriple, jump
 
 
 class CorruptState(ArithmeticError):
-    """A bisection midpoint evaluated to exactly zero."""
+    """A dyadic evaluation point is an exact root; the state is corrupt."""
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,16 @@ class RootInterval:
     triple: CoeffTriple
 
     def __post_init__(self) -> None:
-        if not (0 <= self.lo.as_fraction() < self.hi.as_fraction() <= 1):
+        if not (self.lo.numerator >= 0 and self.lo < self.hi
+                and self.hi.numerator <= 1 << self.hi.exponent):
             raise ValueError("interval must sit inside [0, 1]")
-        if poly_sign_at_dyadic(self.triple, self.lo) >= 0:
+        lo = poly_sign_at_dyadic(self.triple, self.lo)
+        hi = poly_sign_at_dyadic(self.triple, self.hi)
+        if lo == 0 or hi == 0:
+            raise CorruptState("an interval end is an exact root of the cubic")
+        if lo > 0:
             raise ValueError("f(lo) must be negative")
-        if poly_sign_at_dyadic(self.triple, self.hi) <= 0:
+        if hi < 0:
             raise ValueError("f(hi) must be positive")
 
     def width(self) -> Fraction:
@@ -99,24 +105,9 @@ class RootInterval:
         return f"{approx} +/- {float(w) / 2:.3e} (width 1/{w.denominator})"
 
 
-def _bisect(t: CoeffTriple, k: int) -> Tuple[str, "RootInterval"]:
-    b, c, d = t.b, t.c, t.d
-    lo_num = 0  # interval is [lo_num / 2^depth, (lo_num + 1) / 2^depth)
-    bits = []
-    for depth in range(1, k + 1):
-        p = 2 * lo_num + 1  # midpoint numerator at this depth
-        e = depth
-        v = ((p + (b << e)) * p + (c << (2 * e))) * p + (d << (3 * e))
-        if v < 0:       # root above the midpoint
-            bits.append("1")
-            lo_num = p
-        elif v > 0:     # root below the midpoint
-            bits.append("0")
-            lo_num = 2 * lo_num
-        else:
-            raise CorruptState(f"midpoint {p}/2^{e} is a rational root")
-    interval = RootInterval(Dyadic(lo_num, k), Dyadic(lo_num + 1, k), t)
-    return "".join(bits), interval
+def _enclose(t: CoeffTriple, k: int) -> Tuple[int, RootInterval]:
+    m, _ = jump(t, k)
+    return m, RootInterval(Dyadic(m, k), Dyadic(m + 1, k), t)
 
 
 def isolate_root_bits(t: CoeffTriple, k: int) -> Tuple[str, RootInterval]:
@@ -128,11 +119,12 @@ def isolate_root_bits(t: CoeffTriple, k: int) -> Tuple[str, RootInterval]:
     """
     if k < 0:
         raise ValueError("bit count must be nonnegative")
-    return _bisect(t, k)
+    m, interval = _enclose(t, k)
+    return (format(m, f"0{k}b") if k else ""), interval
 
 
 def refine_to_resolution(t: CoeffTriple, eps_exponent: int) -> RootInterval:
     """Certified interval of width 2**-eps_exponent around the root."""
     if eps_exponent < 1:
         raise ValueError("eps_exponent must be at least 1")
-    return _bisect(t, eps_exponent)[1]
+    return _enclose(t, eps_exponent)[1]

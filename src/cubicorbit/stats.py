@@ -118,18 +118,6 @@ _LONGEST_RUN_TABLES = {
 }
 
 
-def _longest_one_run(block: np.ndarray) -> int:
-    longest = current = 0
-    for b in block:
-        if b:
-            current += 1
-            if current > longest:
-                longest = current
-        else:
-            current = 0
-    return longest
-
-
 def longest_run(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Distribution of the longest run of ones per block."""
     bits = _as_bits(s, 128, "longest_run")

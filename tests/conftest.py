@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cubicorbit import generate_bits, validate_triple
+from cubicorbit import generate_bits, step, validate_triple
 
 # Full-scale acceptance (1e7-bit comparison run) is opt-in; the default
 # CI-scale run uses 1e6 bits with the same exactness assertions.
@@ -20,12 +20,40 @@ def random_triple(rng: random.Random, b_bound: int = 6, c_max: int = 60):
     return validate_triple(b, c, d)
 
 
+def step_loop(t, n: int):
+    """Reference for jump(): n single orbit.step calls.
+
+    Returns the emitted bits read as one integer, and the final triple.
+    """
+    m = 0
+    for _ in range(n):
+        t, bit = step(t)
+        m = 2 * m + bit
+    return m, t
+
+
+def bisect_prefix(t, n: int) -> int:
+    """Reference for jump(): floor(2^n * alpha) by n dyadic bisections.
+
+    Each midpoint p / 2^e is decided by the sign of the exact integer
+    8^e f(p / 2^e) of the original cubic.
+    """
+    lo = 0
+    for e in range(1, n + 1):
+        p = 2 * lo + 1
+        v = ((p + (t.b << e)) * p + (t.c << (2 * e))) * p + (t.d << (3 * e))
+        assert v != 0, "a dyadic point is a root: corrupt triple"
+        lo = p if v < 0 else 2 * lo
+    return lo
+
+
 @pytest.fixture(scope="session")
 def cubic_run():
     """The shared long generator run from seed (0, 1, -1).
 
-    1e6 bits by default; 1e7 when CUBICORBIT_ACCEPT_FULL=1. Generated
-    once per session because the quadratic-cost loop dominates runtime.
+    1e6 bits by default; 1e7 when CUBICORBIT_ACCEPT_FULL=1. Generated once
+    per session and shared by the acceptance tests; the certified jump
+    produces the 1e6 bits in a few seconds.
     """
     bits, state = generate_bits(validate_triple(0, 1, -1), CUBIC_RUN_BITS)
     return bits, state

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 
-from cubicorbit import BitStream, MT19937, OrbitState, generate_bits, validate_triple
+from cubicorbit import (BitStream, MT19937, CorruptState, OrbitState,
+                        generate_bits, validate_triple)
+from cubicorbit import cli
 from cubicorbit.bitstream import read_words_le, write_words_le
 from cubicorbit.cli import main
 
@@ -93,6 +95,28 @@ class TestGenerate:
         want = chunks[0] + chunks[1] + chunks[2]
         assert BitStream.from_bytes(out.read_bytes()) == want
 
+    def test_coefficient_limit_fails_before_writing(self, tmp_path, capsys):
+        out, ck = tmp_path / "bits.raw", tmp_path / "state.txt"
+        code, _, err = run_cli(capsys, "generate", "--b", "0", "--c", "1",
+                               "--d", "-1", "--bits", "1000",
+                               "--max-coeff-bits", "50", "--out", str(out),
+                               "--checkpoint", str(ck))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "50-bit limit" in err
+        assert not out.exists() and not ck.exists()
+
+    def test_drop_prefix_must_leave_bits(self, tmp_path, capsys):
+        for per_seed, drop in (("10", "40"), ("10", "10"), ("64", "-1")):
+            out = tmp_path / f"fam_{per_seed}_{drop}.raw"
+            code, _, err = run_cli(capsys, "generate", "--seed-set", "0,3",
+                                   "--per-seed-bits", per_seed,
+                                   "--drop-prefix-bits", drop,
+                                   "--out", str(out))
+            assert code == 2
+            assert "--drop-prefix-bits" in err
+            assert not out.exists()
+
     def test_seed_set_parallel_matches_serial(self, tmp_path, capsys):
         a, b = tmp_path / "a.raw", tmp_path / "b.raw"
         run_cli(capsys, "generate", "--seed-set", "0,4", "--per-seed-bits",
@@ -114,6 +138,16 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--b", "0", "--c", "2",
                              "--d", "-1", "--bits", "256")
         assert code == 0
+
+    def test_corrupt_state_is_usage_error(self, monkeypatch, capsys):
+        def corrupt(t, k):
+            raise CorruptState("an interval end is an exact root of the cubic")
+        monkeypatch.setattr(cli, "isolate_root_bits", corrupt)
+        code, out, err = run_cli(capsys, "verify", "--b", "0", "--c", "1",
+                                 "--d", "-1", "--bits", "16")
+        assert code == 2
+        assert out == ""
+        assert err == "error: an interval end is an exact root of the cubic\n"
 
 
 class TestSeeds:
