@@ -38,6 +38,14 @@ DEFAULT_SEED = 5489
 LAG = 227  # N - M, the tempered-output coincidence lag
 
 
+# The twist rewrites word i from words i + 1 and i + M (mod N). Over these
+# chunks every word a chunk reads is either not yet rewritten or was
+# rewritten by an earlier chunk, so each chunk is one slice update in the
+# same order as the word-at-a-time loop.
+_TWIST_CHUNKS = ((0, N - M), (N - M, 2 * (N - M)), (2 * (N - M), N - 1),
+                 (N - 1, N))
+
+
 class MT19937:
     """Bit-exact MT19937 with the standard multiplier-based seeding."""
 
@@ -46,13 +54,13 @@ class MT19937:
         mt[0] = seed & MASK32
         for i in range(1, N):
             mt[i] = (1812433253 * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i) & MASK32
-        self._mt = mt
+        self._mt = np.array(mt, dtype=np.uint32)
         self._index = N
 
     @property
     def key(self) -> Tuple[int, ...]:
         """The 624-word internal state array."""
-        return tuple(self._mt)
+        return tuple(self._mt.tolist())
 
     @property
     def position(self) -> int:
@@ -60,29 +68,42 @@ class MT19937:
 
     def _twist(self) -> None:
         mt = self._mt
-        for i in range(N):
-            y = (mt[i] & UPPER_MASK) | (mt[(i + 1) % N] & LOWER_MASK)
-            mt[i] = mt[(i + M) % N] ^ (y >> 1) ^ (MATRIX_A if y & 1 else 0)
+        for lo, hi in _TWIST_CHUNKS:
+            nxt = mt[lo + 1:hi + 1] if hi < N else mt[:1]
+            y = (mt[lo:hi] & UPPER_MASK) | (nxt & LOWER_MASK)
+            src = (lo + M) % N
+            mt[lo:hi] = mt[src:src + hi - lo] ^ (y >> 1) ^ ((y & 1) * MATRIX_A)
         self._index = 0
 
     def next_u32(self) -> int:
         if self._index >= N:
             self._twist()
-        y = self._mt[self._index]
+        y = int(self._mt[self._index])
         self._index += 1
         return temper(y)
 
     def generate(self, count: int) -> np.ndarray:
         """The next `count` outputs as a uint32 array."""
-        return np.fromiter((self.next_u32() for _ in range(count)),
-                           dtype=np.uint32, count=count)
+        if count < 0:
+            raise ValueError("count must be nonnegative")
+        raw = np.empty(count, dtype=np.uint32)
+        filled = 0
+        while filled < count:
+            if self._index >= N:
+                self._twist()
+            take = min(N - self._index, count - filled)
+            raw[filled:filled + take] = self._mt[self._index:self._index + take]
+            self._index += take
+            filled += take
+        return temper(raw)
 
 
-def temper(y: int) -> int:
-    y ^= y >> 11
-    y ^= (y << 7) & 0x9D2C5680
-    y ^= (y << 15) & 0xEFC60000
-    y ^= y >> 18
+def temper(y):
+    """MT19937 output tempering of a 32-bit int or a uint32 array."""
+    y = y ^ (y >> 11)
+    y = y ^ ((y << 7) & 0x9D2C5680)
+    y = y ^ ((y << 15) & 0xEFC60000)
+    y = y ^ (y >> 18)
     return y & MASK32
 
 

@@ -35,9 +35,9 @@ class Dyadic:
         if self.exponent < 0:
             raise ValueError("exponent must be nonnegative")
         n, e = self.numerator, self.exponent
-        while e > 0 and n % 2 == 0:
-            n //= 2
-            e -= 1
+        # n & -n is the lowest set bit of n; zero is 0/2^0
+        shift = min(e, (n & -n).bit_length() - 1) if n else e
+        n, e = n >> shift, e - shift
         object.__setattr__(self, "numerator", n)
         object.__setattr__(self, "exponent", e)
 
@@ -99,10 +99,17 @@ class RootInterval:
 
     def __str__(self) -> str:
         w = self.width()
-        digits = max(1, len(str(w.denominator)))
+        den = w.denominator  # a power of two: both ends are dyadic
+        # the midpoint gets one digit per digit of den, at most 17; every
+        # denominator past 56 bits has 17 digits or more
+        digits = len(str(den)) if den.bit_length() <= 56 else 17
         mid = self.lo.as_fraction() + w / 2
-        approx = f"{float(mid):.{min(digits, 17)}f}"
-        return f"{approx} +/- {float(w) / 2:.3e} (width 1/{w.denominator})"
+        approx = f"{float(mid):.{digits}f}"
+        try:
+            shown = str(den)
+        except ValueError:  # past the int/str conversion digit limit
+            shown = f"2^{den.bit_length() - 1}"
+        return f"{approx} +/- {float(w) / 2:.3e} (width 1/{shown})"
 
 
 def _enclose(t: CoeffTriple, k: int) -> Tuple[int, RootInterval]:

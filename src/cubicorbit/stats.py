@@ -13,8 +13,12 @@ Inputs shorter than a test's documented minimum raise InputTooShort;
 the suite is meant for sequences of 1e5 bits or more. Testing here is
 single-level: each test judges one sequence against alpha. Second-level
 procedures (proportions of passing sequences, uniformity of P-values
-over many runs) are out of scope at this scale. Every function is pure,
-so callers may fan tests out over a shared sequence freely.
+over many runs, SP 800-22 section 4.2) are not implemented yet. Every
+function is pure, so callers may fan tests out over a shared sequence
+freely.
+
+The pattern tests (serial, approximate entropy) build one histogram of
+overlapping windows and fold it to the shorter pattern lengths.
 """
 
 from __future__ import annotations
@@ -130,13 +134,15 @@ def longest_run(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
         m = 8
     (lo, hi), pis = _LONGEST_RUN_TABLES[m]
     n_blocks = n // m
-    blocks = bits[: n_blocks * m].reshape(n_blocks, m)
-    # vectorized longest run of ones per row: position-indexed cummax trick
-    padded = np.zeros((n_blocks, m + 1), dtype=np.int64)
-    padded[:, 1:] = blocks
-    idx = np.arange(m + 1, dtype=np.int64)
-    last_zero = np.maximum.accumulate(np.where(padded == 0, idx, 0), axis=1)
-    longest = (idx - last_zero).max(axis=1)
+    # each block behind a zero sentinel, plus one closing zero: every run
+    # of ones is the gap between two consecutive zeros of one block, and
+    # the gaps of block k start at the sentinel k * (m + 1)
+    padded = np.zeros(n_blocks * (m + 1) + 1, dtype=np.uint8)
+    padded[:-1].reshape(n_blocks, m + 1)[:, 1:] = \
+        bits[: n_blocks * m].reshape(n_blocks, m)
+    zeros = np.flatnonzero(padded == 0)
+    sentinels = np.searchsorted(zeros, np.arange(n_blocks) * (m + 1))
+    longest = np.maximum.reduceat(np.diff(zeros), sentinels) - 1
     cats = np.clip(longest, lo, hi) - lo
     v = np.bincount(cats, minlength=hi - lo + 1).astype(np.float64)
     expected = np.asarray(pis) * n_blocks
@@ -146,21 +152,37 @@ def longest_run(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
 
 
 def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the n overlapping m-bit windows, with wraparound padding."""
+    """Counts of the n overlapping m-bit windows, with wraparound padding.
+
+    acc[i] holds the w-bit window at i, in the smallest unsigned type
+    that holds it. A width w grows to any w' <= 2w in one pass,
+    acc[i] << (w' - w) | the low w' - w bits of acc[i + w' - w], so m
+    takes about log2(m) passes.
+    """
     n = bits.size
-    ext = np.concatenate([bits, bits[: m - 1]]).astype(np.int64)
-    acc = np.zeros(n, dtype=np.int64)
-    for j in range(m):
-        acc = (acc << 1) | ext[j: j + n]
+    acc = np.resize(bits, n + m - 1)
+    w = 1
+    while w < m:
+        step = min(w, m - w)
+        wide = (np.uint8 if w + step <= 8 else
+                np.uint16 if w + step <= 16 else np.uint32)
+        wider = np.left_shift(acc[:acc.size - step], step, dtype=wide)
+        wider |= acc[step:] & ((1 << step) - 1)
+        acc, w = wider, w + step
     return np.bincount(acc, minlength=1 << m)
 
 
-def _psi_sq(bits: np.ndarray, m: int) -> float:
-    if m <= 0:
-        return 0.0
-    counts = _pattern_counts(bits, m)
-    n = bits.size
-    return float((1 << m) / n * np.sum(counts.astype(np.float64) ** 2) - n)
+def _fold(counts: np.ndarray) -> np.ndarray:
+    """The (m-1)-bit histogram from the m-bit one.
+
+    With wraparound the (m-1)-bit prefix of window i is window i, so
+    summing each pair of counts that share a prefix is exact.
+    """
+    return counts.reshape(-1, 2).sum(axis=1)
+
+
+def _psi_sq(counts: np.ndarray, n: int) -> float:
+    return float(counts.size / n * np.sum(counts.astype(np.float64) ** 2) - n)
 
 
 def serial(s, m: int = 16, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
@@ -170,9 +192,12 @@ def serial(s, m: int = 16, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
         raise ValueError("pattern length must be at least 2")
     if bits.size < 1 << (m + 2):
         raise InputTooShort(f"serial with m={m} needs at least {1 << (m + 2)} bits")
-    psi_m = _psi_sq(bits, m)
-    psi_m1 = _psi_sq(bits, m - 1)
-    psi_m2 = _psi_sq(bits, m - 2)
+    n = bits.size
+    counts = _pattern_counts(bits, m)
+    psi_m = _psi_sq(counts, n)
+    counts = _fold(counts)
+    psi_m1 = _psi_sq(counts, n)
+    psi_m2 = _psi_sq(_fold(counts), n) if m > 2 else 0.0
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = gammaincc(2 ** (m - 2), d1 / 2.0)
@@ -185,10 +210,18 @@ def cumulative_sums(s, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
     """Maximum excursion of the +1/-1 partial sums, forward and backward."""
     bits = _as_bits(s, 100, "cumulative_sums")
     n = bits.size
-    x = 2 * bits.astype(np.int64) - 1
+    steps = bits.astype(np.int8)
+    steps *= 2
+    steps -= 1
+    sums = np.cumsum(steps, dtype=np.int32 if n < 1 << 31 else np.int64)
+    total = int(sums[-1])
+    # the backward walk's partial sums are S_n - S_j for 0 <= j < n, S_0 = 0
+    lo = min(0, int(sums[:-1].min()))
+    hi = max(0, int(sums[:-1].max()))
+    excursions = (("forward", max(-lo, hi, abs(total))),
+                  ("backward", max(abs(total - lo), abs(total - hi))))
     reports = []
-    for mode, seq in (("forward", x), ("backward", x[::-1])):
-        z = int(np.max(np.abs(np.cumsum(seq))))
+    for mode, z in excursions:
         sqrt_n = math.sqrt(n)
         term1 = sum(
             ndtr((4 * k + 1) * z / sqrt_n) - ndtr((4 * k - 1) * z / sqrt_n)
@@ -211,12 +244,12 @@ def approximate_entropy(s, m: int = 10, alpha: float = DEFAULT_ALPHA) -> TestRep
             f"approximate_entropy with m={m} needs at least {1 << (m + 2)} bits")
     n = bits.size
 
-    def phi(mm: int) -> float:
-        counts = _pattern_counts(bits, mm)
+    def phi(counts: np.ndarray) -> float:
         probs = counts[counts > 0].astype(np.float64) / n
         return float(np.sum(probs * np.log(probs)))
 
-    apen = phi(m) - phi(m + 1)
+    counts = _pattern_counts(bits, m + 1)
+    apen = phi(_fold(counts)) - phi(counts)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     p = gammaincc(2 ** (m - 1), chi2 / 2.0)
     return _report("approximate_entropy", chi2, p, alpha, m=m)

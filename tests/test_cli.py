@@ -194,6 +194,14 @@ class TestMt:
         assert code == 0
         assert np.array_equal(read_words_le(out), MT19937().generate(1000))
 
+    def test_gen_negative_count_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "mt.bin"
+        code, _, err = run_cli(capsys, "mt", "gen", "--count", "-5",
+                               "--out", str(out))
+        assert code == 2
+        assert "count must be nonnegative" in err
+        assert not out.exists()
+
     def test_verify_passes(self, capsys):
         code, out, _ = run_cli(capsys, "mt", "verify", "--count", "2000")
         assert code == 0

@@ -21,6 +21,28 @@ def reference_words(seed: int, count: int) -> np.ndarray:
                                                dtype=np.uint32)
 
 
+class ScalarMT:
+    """The word-at-a-time MT19937 twist, a reference for the sliced one."""
+
+    def __init__(self, seed: int):
+        self.mt = [seed & 0xFFFFFFFF]
+        for i in range(1, 624):
+            prev = self.mt[-1]
+            self.mt.append((1812433253 * (prev ^ (prev >> 30)) + i) & 0xFFFFFFFF)
+        self.index = 624
+
+    def next_u32(self) -> int:
+        if self.index >= 624:
+            mt = self.mt
+            for i in range(624):
+                y = (mt[i] & 0x80000000) | (mt[(i + 1) % 624] & 0x7FFFFFFF)
+                mt[i] = mt[(i + 397) % 624] ^ (y >> 1) ^ (0x9908B0DF if y & 1 else 0)
+            self.index = 0
+        y = self.mt[self.index]
+        self.index += 1
+        return temper(y)
+
+
 class TestGenerator:
     def test_known_first_outputs(self):
         gen = MT19937(DEFAULT_SEED)
@@ -41,6 +63,53 @@ class TestGenerator:
         assert gen.position == 624  # untwisted until first output
         gen.next_u32()
         assert gen.position == 1
+
+    @pytest.mark.parametrize("count", [0, 1, 623, 624, 625, 1249])
+    def test_generate_equals_word_loop(self, count):
+        ref = ScalarMT(DEFAULT_SEED)
+        words = MT19937(DEFAULT_SEED).generate(count)
+        assert words.dtype == np.uint32
+        assert words.tolist() == [ref.next_u32() for _ in range(count)]
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            MT19937().generate(-1)
+
+    def test_split_generation_is_one_stream(self):
+        rng = random.Random(10)
+        for seed in (0, 77, DEFAULT_SEED):
+            whole = MT19937(seed).generate(4000)
+            gen, parts = MT19937(seed), []
+            while sum(map(len, parts)) < 4000:
+                if rng.random() < 0.3:
+                    parts.append(np.array([gen.next_u32()], dtype=np.uint32))
+                else:
+                    parts.append(gen.generate(rng.choice([0, 1, 623, 624, 625, 700])))
+            assert np.array_equal(np.concatenate(parts)[:4000], whole)
+
+    def test_position_and_key_follow_the_word_loop(self):
+        rng = random.Random(11)
+        gen, ref = MT19937(4357), ScalarMT(4357)
+        assert gen.key == tuple(ref.mt)
+        for _ in range(40):
+            count = rng.choice([0, 1, 5, 623, 624, 625, 1249])
+            if rng.random() < 0.5:
+                assert gen.generate(count).tolist() == \
+                    [ref.next_u32() for _ in range(count)]
+            else:
+                assert gen.next_u32() == ref.next_u32()
+            assert gen.position == ref.index
+            assert gen.key == tuple(ref.mt)
+            assert all(type(w) is int for w in gen.key)
+
+    def test_temper_on_arrays(self):
+        words = np.array([0, 1, 0xFFFFFFFF, 0x12345678, 0x9908B0DF],
+                         dtype=np.uint32)
+        before = words.copy()
+        tempered = temper(words)
+        assert tempered.dtype == np.uint32
+        assert tempered.tolist() == [temper(int(w)) for w in before]
+        assert np.array_equal(words, before)
 
     def test_tempering_involution(self):
         rng = random.Random(9)

@@ -24,6 +24,23 @@ class TestDyadic:
         with pytest.raises(ValueError):
             Dyadic(1, -1)
 
+    def test_canonical_form_matches_halving_loop(self):
+        def halve(n, e):
+            while e > 0 and n % 2 == 0:
+                n //= 2
+                e -= 1
+            return n, e
+
+        rng = random.Random(0x54)
+        cases = [(0, 0), (0, 9), (1, 0), (-8, 2), (-8, 5)]
+        for _ in range(2000):
+            e = rng.randint(0, 80)
+            n = rng.randint(-1 << 40, 1 << 40) << rng.randint(0, 90)
+            cases.append((n, e))
+        for n, e in cases:
+            d = Dyadic(n, e)
+            assert (d.numerator, d.exponent) == halve(n, e), (n, e)
+
 
 class TestSignEvaluation:
     def test_at_one_half(self):
@@ -105,3 +122,20 @@ class TestRefine:
     def test_str_mentions_width(self):
         iv = refine_to_resolution(validate_triple(0, 1, -1), 10)
         assert "+/-" in str(iv)
+
+    def test_str_text_below_the_digit_limit(self):
+        t = validate_triple(0, 1, -1)
+        assert str(refine_to_resolution(t, 1)) == "0.8 +/- 2.500e-01 (width 1/2)"
+        assert str(refine_to_resolution(t, 20)) == \
+            "0.6823277 +/- 4.768e-07 (width 1/1048576)"
+        assert str(refine_to_resolution(t, 57)) == (
+            "0.68232780382801927 +/- 3.469e-18 (width 1/144115188075855872)")
+        assert str(refine_to_resolution(validate_triple(3, 7, -3), 30)) == \
+            "0.3646556078 +/- 4.657e-10 (width 1/1073741824)"
+        # 2^14000 has 4215 digits, just below the default 4300-digit limit
+        assert str(refine_to_resolution(t, 14000)) == (
+            f"0.68232780382801927 +/- 0.000e+00 (width 1/{2**14000})")
+
+    def test_str_past_the_digit_limit(self):
+        iv = refine_to_resolution(validate_triple(0, 1, -1), 20000)
+        assert str(iv) == "0.68232780382801927 +/- 0.000e+00 (width 1/2^20000)"

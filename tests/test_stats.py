@@ -9,6 +9,7 @@ from cubicorbit import (MT19937, BitStream, InputTooShort,
                         approximate_entropy, block_frequency,
                         cumulative_sums, longest_run, monobit, run_suite,
                         runs, serial)
+from cubicorbit.stats import _LONGEST_RUN_TABLES, _fold, _pattern_counts
 
 # first 100 bits of the binary expansion of pi, a standard worked example
 PI_100 = ("11001001000011111101101010100010001000010110100011"
@@ -103,6 +104,96 @@ class TestApproximateEntropy:
     def test_constant_input_fails(self):
         rep = approximate_entropy(BitStream(np.ones(4096, dtype=np.uint8)), 3)
         assert rep.p_value < 1e-10
+
+
+def brute_pattern_counts(bits: list, m: int) -> list:
+    """Histogram of the n cyclic m-bit windows, one window at a time."""
+    n = len(bits)
+    counts = [0] * (1 << m)
+    for i in range(n):
+        v = 0
+        for j in range(m):
+            v = 2 * v + bits[(i + j) % n]
+        counts[v] += 1
+    return counts
+
+
+class TestPatternCounts:
+    def test_against_window_loop(self):
+        rng = np.random.default_rng(16)
+        for m in range(1, 13):
+            for n in (1, m - 1, m, m + 1, 2 * m - 1, 2 * m + 3, 97, 300):
+                if n < 1:
+                    continue
+                bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+                got = _pattern_counts(bits, m)
+                assert got.tolist() == brute_pattern_counts(bits.tolist(), m), \
+                    (m, n)
+
+    def test_fold_equals_direct_histogram(self):
+        rng = np.random.default_rng(17)
+        for n in (5, 64, 1000, 4099):
+            bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+            for m in range(2, 18):
+                assert np.array_equal(_fold(_pattern_counts(bits, m)),
+                                      _pattern_counts(bits, m - 1)), (n, m)
+
+
+def brute_longest_run_categories(bits: list, m: int) -> list:
+    (lo, hi), _ = _LONGEST_RUN_TABLES[m]
+    v = [0] * (hi - lo + 1)
+    for start in range(0, len(bits) - m + 1, m):
+        longest = run = 0
+        for bit in bits[start:start + m]:
+            run = run + 1 if bit else 0
+            longest = max(longest, run)
+        v[min(max(longest, lo), hi) - lo] += 1
+    return v
+
+
+def brute_excursions(bits: list) -> tuple:
+    def walk(seq):
+        total = peak = 0
+        for bit in seq:
+            total += 1 if bit else -1
+            peak = max(peak, abs(total))
+        return peak
+    return walk(bits), walk(bits[::-1])
+
+
+def kernel_inputs():
+    """Random bits with all-ones and all-zeros blocks, at each longest-run
+    block size, with lengths that are not a multiple of the block."""
+    rng = np.random.default_rng(18)
+    for n, m in ((1000 + 5, 8), (7000 + 77, 128), (760_000 + 123, 10_000)):
+        bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+        bits[:m] = 1
+        bits[2 * m:3 * m] = 0
+        bits[-(n % m) - m:] = 1  # last whole block and the tail
+        yield bits
+    yield np.ones(1000, dtype=np.uint8)
+    yield np.zeros(1000, dtype=np.uint8)
+    yield rng.integers(0, 2, size=777, dtype=np.uint8)
+
+
+class TestKernelsAgainstLoops:
+    def test_longest_run(self):
+        for bits in kernel_inputs():
+            rep = longest_run(BitStream(bits))
+            m = rep.parameters["m"]
+            _, pis = _LONGEST_RUN_TABLES[m]
+            v = brute_longest_run_categories(bits.tolist(), m)
+            n_blocks = bits.size // m
+            chi2 = sum((vi - n_blocks * p) ** 2 / (n_blocks * p)
+                       for vi, p in zip(v, pis))
+            assert rep.parameters["blocks"] == n_blocks
+            assert rep.statistic == pytest.approx(chi2, rel=1e-12)
+
+    def test_cumulative_sums(self):
+        for bits in kernel_inputs():
+            fwd, bwd = cumulative_sums(BitStream(bits))
+            assert (fwd.statistic, bwd.statistic) == brute_excursions(
+                bits.tolist())
 
 
 class TestDegenerateInputs:
