@@ -17,8 +17,7 @@ from .mt19937 import (MT19937, DataCorrupt, LagPair, RankDeficient,
                       RecurrenceCheck, load_recurrence_matrices,
                       recover_matrices, scan_conditions_ab, temper,
                       untemper, verify_recurrence)
-from .orbit import (Branch, CoeffTriple, CoefficientLimitExceeded,
-                    ConditionViolation, HalfRoot, OrbitState, branch_sign,
+from .orbit import (CoeffTriple, ConditionViolation, HalfRoot, OrbitState,
                     generate_bits, inverse_step, jump, shifted, step,
                     validate_triple)
 from .roots import (CorruptState, Dyadic, RootInterval, isolate_root_bits,
@@ -40,9 +39,9 @@ __all__ = [
     "MT19937", "DataCorrupt", "LagPair", "RankDeficient", "RecurrenceCheck",
     "load_recurrence_matrices", "recover_matrices", "scan_conditions_ab",
     "temper", "untemper", "verify_recurrence",
-    "Branch", "CoeffTriple", "CoefficientLimitExceeded", "ConditionViolation",
-    "HalfRoot", "OrbitState", "branch_sign", "generate_bits", "inverse_step",
-    "jump", "shifted", "step", "validate_triple",
+    "CoeffTriple", "ConditionViolation", "HalfRoot", "OrbitState",
+    "generate_bits", "inverse_step", "jump", "shifted", "step",
+    "validate_triple",
     "CorruptState", "Dyadic", "RootInterval", "isolate_root_bits",
     "poly_sign_at_dyadic", "refine_to_resolution",
     "DistinctnessReport", "GapEntry", "GapReport", "InvalidShape",

@@ -28,8 +28,8 @@ from .bitstream import (BitStream, OutputFormat, read_bits, read_words_le,
 from .mt19937 import (MT19937, DEFAULT_SEED, lag_pairs_csv,
                       load_recurrence_matrices, recover_matrices,
                       scan_conditions_ab, verify_recurrence)
-from .orbit import (CoefficientLimitExceeded, CoeffTriple, ConditionViolation,
-                    HalfRoot, OrbitState, generate_bits, validate_triple)
+from .orbit import (CoeffTriple, ConditionViolation, HalfRoot, OrbitState,
+                    generate_bits, validate_triple)
 from .roots import CorruptState, isolate_root_bits
 from .seeds import (InvalidShape, build_seed_set, field_distinctness_check,
                     gap_report, is_source_point, merger_audit)
@@ -38,15 +38,6 @@ from .stats import InputTooShort, run_suite
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-_BIT_FORMATS = {
-    "raw": OutputFormat.RAW_PACKED_BITS,
-    "ascii": OutputFormat.ASCII_BITS,
-    "words32le": OutputFormat.WORDS32_LE,
-    "csv": OutputFormat.CSV,
-    "json": OutputFormat.JSON,
-}
-
 
 def _triple_from_args(args) -> CoeffTriple:
     if args.b is None or args.c is None or args.d is None:
@@ -63,7 +54,7 @@ def _worker_generate(job) -> bytes:
 
 def cmd_generate(args) -> int:
     out_path = args.out or "-"
-    fmt = _BIT_FORMATS[args.format]
+    fmt = OutputFormat(args.format)
     if args.seed_set:
         try:
             b_str, c_str = args.seed_set.split(",")
@@ -89,8 +80,7 @@ def cmd_generate(args) -> int:
                 state: OrbitState | CoeffTriple = OrbitState.from_text(fh.read())
         else:
             state = _triple_from_args(args)
-        stream, final = generate_bits(state, args.bits,
-                                      max_coeff_bits=args.max_coeff_bits)
+        stream, final = generate_bits(state, args.bits)
         if args.checkpoint:
             text = final.to_text()
             with open(args.checkpoint, "w") as fh:
@@ -120,6 +110,7 @@ def cmd_verify(args) -> int:
 
 def cmd_seeds(args) -> int:
     fam = build_seed_set(args.b, args.c)
+    verdicts = [(m, is_source_point(m)) for m in fam.members]
     payload = {
         "b": fam.b,
         "c": fam.c,
@@ -127,9 +118,8 @@ def cmd_seeds(args) -> int:
         "parity_rule": fam.parity_rule,
         "members": [
             {"b": m.b, "c": m.c, "d": m.d,
-             "source": is_source_point(m).is_source,
-             "reason": is_source_point(m).reason.value}
-            for m in fam.members
+             "source": v.is_source, "reason": v.reason.value}
+            for m, v in verdicts
         ],
         "excluded": [list(t) for t in fam.excluded],
     }
@@ -215,7 +205,7 @@ def cmd_mt(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    fmt = _BIT_FORMATS[args.format]
+    fmt = OutputFormat(args.format)
     bits = read_bits(args.infile, fmt)
     result = run_suite(bits, alpha=args.alpha)
     json.dump(result.to_dict(), sys.stdout, indent=2)
@@ -235,13 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--bits", type=int, default=0, help="number of bits to emit")
-    p.add_argument("--format", choices=sorted(_BIT_FORMATS), default="raw")
+    p.add_argument("--format", choices=sorted(f.value for f in OutputFormat),
+                   default="raw")
     p.add_argument("--out", help="output path (default stdout, ascii only)")
     p.add_argument("--resume", help="orbit state file to continue from")
     p.add_argument("--checkpoint", help="write the final orbit state here")
-    p.add_argument("--max-coeff-bits", type=int, default=None,
-                   help="fail, writing nothing, if a coefficient of the "
-                        "final state exceeds this many bits")
     p.add_argument("--seed-set", metavar="B,C",
                    help="generate from every member of the (B,C) family, "
                         "concatenated in descending d order")
@@ -305,9 +293,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConditionViolation, HalfRoot, CoefficientLimitExceeded,
-            CorruptState, InvalidShape, InputTooShort, ValueError,
-            OSError) as exc:
+    except (ConditionViolation, HalfRoot, CorruptState, InvalidShape,
+            InputTooShort, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

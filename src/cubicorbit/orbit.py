@@ -29,7 +29,9 @@ constructing it certifies all n bits at once. jump() finds m by integer
 Newton steps with precision doubling (exact bisection for the first few
 bits of a small triple) and certifies every step that way; its cost is
 a few big multiplications and one division per doubling, against
-O(n^2) for n single steps. step() stays as the one-bit reference.
+O(n^2) for n single steps. step() stays as the one-bit reference the
+tests compare jump() with, and seeds.merger_audit walks orbits with it;
+both read the branch off the sign of the half value 1 + 2b + 4c + 8d.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from enum import Enum
 from typing import Tuple, Union
 
 import numpy as np
@@ -66,10 +67,6 @@ class ConditionViolation(ValueError):
 
 class HalfRoot(ValueError):
     """1 + 2b + 4c + 8d = 0, i.e. 1/2 would be a root; corrupt state."""
-
-
-class CoefficientLimitExceeded(RuntimeError):
-    """A configured maximum coefficient bit length was crossed."""
 
 
 @dataclass(frozen=True)
@@ -115,25 +112,6 @@ class CoeffTriple:
 def validate_triple(b: int, c: int, d: int) -> CoeffTriple:
     """Check conditions (i)-(iii) and return the validated triple."""
     return CoeffTriple(int(b), int(c), int(d))
-
-
-class Branch(Enum):
-    LEFT = 0    # root below 1/2, emitted bit 0
-    RIGHT = 1   # root above 1/2, emitted bit 1
-
-    @property
-    def bit(self) -> int:
-        return self.value
-
-
-def branch_sign(t: CoeffTriple) -> Branch:
-    """Which half of (0,1) the root lies in, from integer arithmetic only."""
-    h = t.half_value
-    if h > 0:
-        return Branch.LEFT
-    if h < 0:
-        return Branch.RIGHT
-    raise HalfRoot("1+2b+4c+8d = 0; state is corrupt")  # pragma: no cover
 
 
 def step(t: CoeffTriple) -> Tuple[CoeffTriple, int]:
@@ -280,25 +258,16 @@ def jump(t: CoeffTriple, n: int) -> Tuple[int, CoeffTriple]:
     return int(m), CoeffTriple(int(b), int(c), int(d))
 
 
-def generate_bits(
-    seed: Union[CoeffTriple, OrbitState],
-    n: int,
-    max_coeff_bits: int | None = None,
-) -> Tuple[BitStream, OrbitState]:
+def generate_bits(seed: Union[CoeffTriple, OrbitState],
+                  n: int) -> Tuple[BitStream, OrbitState]:
     """Emit n bits from seed and return them with the final resumable state.
 
     Deterministic: a given seed and n always produce the same output, and
     generating a+b bits equals generating a bits and then b more from the
-    returned state. max_coeff_bits, when set, raises
-    CoefficientLimitExceeded if a coefficient of the final state is wider
-    than that many bits; the check runs before any bit is returned.
+    returned state.
     """
     state = seed if isinstance(seed, OrbitState) else OrbitState(seed, 0)
     m, triple = jump(state.triple, n)
-    if max_coeff_bits is not None and triple.max_coeff_bits() > max_coeff_bits:
-        raise CoefficientLimitExceeded(
-            f"coefficients reach {triple.max_coeff_bits()} bits after "
-            f"{n} steps, over the {max_coeff_bits}-bit limit")
     n_bytes = (n + 7) // 8
     packed = np.frombuffer(m.to_bytes(n_bytes, "big"), dtype=np.uint8)
     bits = np.unpackbits(packed)[8 * n_bytes - n:]

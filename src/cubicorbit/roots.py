@@ -109,7 +109,12 @@ class RootInterval:
             shown = str(den)
         except ValueError:  # past the int/str conversion digit limit
             shown = f"2^{den.bit_length() - 1}"
-        return f"{approx} +/- {float(w) / 2:.3e} (width 1/{shown})"
+        half = float(w) / 2
+        if half > 0:
+            spread = f"{half:.3e}"
+        else:  # below the smallest subnormal float: print it exactly
+            spread = str(Dyadic(w.numerator, den.bit_length()))
+        return f"{approx} +/- {spread} (width 1/{shown})"
 
 
 def _enclose(t: CoeffTriple, k: int) -> Tuple[int, RootInterval]:

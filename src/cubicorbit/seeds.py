@@ -7,7 +7,8 @@ pool of seeds for generating many sequences at once. The audits here
 check the three properties one wants from such a pool:
 
 * no member's orbit can merge with another's (source points, or an
-  explicit collision scan over a finite horizon),
+  explicit collision scan over a finite horizon; since the doubling map
+  is injective, the scan only has to store the starting triples),
 * the roots really are spread out (certified gap bounds), and
 * as a stronger separation heuristic, the defining cubics' squarefree
   discriminant kernels are pairwise different, which already forces the
@@ -185,36 +186,39 @@ class MergerAudit:
 def merger_audit(s: SeedSet, horizon: int) -> MergerAudit:
     """Scan all member orbits for any shared state within the horizon.
 
-    Every state of every member over `horizon` steps is recorded; a
-    collision between different members at any pair of step offsets is a
-    merger and fails the audit. Advancing breadth-first makes the reported
-    collision the earliest one by step index.
+    Every state of every member over `horizon` steps is checked against
+    the members' starting triples, and only those are stored. That finds
+    every merger because step is injective on integer triples (each
+    branch is affine, and the two give b of opposite parity): if two
+    states in the horizon are equal, stepping both back shows an orbit
+    reaching some member's starting triple no later. Advancing
+    breadth-first makes the reported collision the earliest one by step
+    index, so it has step_a = 0. Duplicate members collide at step 0,
+    reported against the last copy.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    seen: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
     current = list(s.members)
-    checked = 0
-    for idx, t in enumerate(current):
-        seen[t.as_tuple()] = (idx, 0)
-        checked += 1
-    if len(seen) != len(current):
-        # duplicate members collide at step 0
-        for idx, t in enumerate(current):
-            owner = seen[t.as_tuple()]
-            if owner[0] != idx:
-                return MergerAudit(False, horizon, checked,
-                                   MergerCollision(owner[0], 0, idx, 0, t.as_tuple()))
+    start: Dict[Tuple[int, int, int], int] = {}
+    duplicate = None
+    # scanning down, the last copy of a triple owns it, and the last
+    # repeat found is the first member that has a later copy
+    for idx in reversed(range(len(current))):
+        key = current[idx].as_tuple()
+        owner = start.setdefault(key, idx)
+        if owner != idx:
+            duplicate = MergerCollision(owner, 0, idx, 0, key)
+    checked = len(current)
+    if duplicate is not None:
+        return MergerAudit(False, horizon, checked, duplicate)
     for k in range(1, horizon + 1):
         for idx in range(len(current)):
             nxt, _bit = step(current[idx])
             current[idx] = nxt
             key = nxt.as_tuple()
-            if key in seen:
-                prev_idx, prev_step = seen[key]
+            if key in start:
                 return MergerAudit(False, horizon, checked,
-                                   MergerCollision(prev_idx, prev_step, idx, k, key))
-            seen[key] = (idx, k)
+                                   MergerCollision(start[key], 0, idx, k, key))
             checked += 1
     return MergerAudit(True, horizon, checked)
 

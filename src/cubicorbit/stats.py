@@ -282,20 +282,25 @@ class SuiteResult:
         }
 
 
-def run_suite(s, alpha: float = DEFAULT_ALPHA,
-              block_m: int = 128, serial_m: int = 16,
-              apen_m: int = 10) -> SuiteResult:
+# run_suite's block length and pattern lengths; the serial and approximate
+# entropy lengths are capped further by the input length
+SUITE_BLOCK_M = 128
+SUITE_SERIAL_M = 16
+SUITE_APEN_M = 10
+
+
+def run_suite(s, alpha: float = DEFAULT_ALPHA) -> SuiteResult:
     """Run the whole battery with (length-capped) default parameters."""
     bits = s if isinstance(s, BitStream) else BitStream(s)
     n = len(bits)
     if n < 1024:
         raise InputTooShort("run_suite needs at least 1024 bits")
     log2n = math.floor(math.log2(n))
-    serial_m = min(serial_m, log2n - 3)
-    apen_m = min(apen_m, log2n - 6)
+    serial_m = min(SUITE_SERIAL_M, log2n - 3)
+    apen_m = min(SUITE_APEN_M, log2n - 6)
     reports: List[TestReport] = [
         monobit(bits, alpha),
-        block_frequency(bits, block_m, alpha),
+        block_frequency(bits, SUITE_BLOCK_M, alpha),
         runs(bits, alpha),
         longest_run(bits, alpha),
     ]

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from cubicorbit import generate_bits, step, validate_triple
+from cubicorbit import (MergerAudit, MergerCollision, generate_bits, step,
+                        validate_triple)
 
 # Full-scale acceptance (1e7-bit comparison run) is opt-in; the default
 # CI-scale run uses 1e6 bits with the same exactness assertions.
@@ -45,6 +46,44 @@ def bisect_prefix(t, n: int) -> int:
         assert v != 0, "a dyadic point is a root: corrupt triple"
         lo = p if v < 0 else 2 * lo
     return lo
+
+
+def merger_audit_all_states(s, horizon: int) -> MergerAudit:
+    """Reference for seeds.merger_audit: records every state it visits.
+
+    A collision between different members at any pair of step offsets is
+    a merger; advancing breadth-first makes the reported collision the
+    earliest one by step index.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    seen = {}
+    current = list(s.members)
+    checked = 0
+    for idx, t in enumerate(current):
+        seen[t.as_tuple()] = (idx, 0)
+        checked += 1
+    if len(seen) != len(current):
+        # duplicate members collide at step 0
+        for idx, t in enumerate(current):
+            owner = seen[t.as_tuple()]
+            if owner[0] != idx:
+                return MergerAudit(False, horizon, checked,
+                                   MergerCollision(owner[0], 0, idx, 0,
+                                                   t.as_tuple()))
+    for k in range(1, horizon + 1):
+        for idx in range(len(current)):
+            nxt, _bit = step(current[idx])
+            current[idx] = nxt
+            key = nxt.as_tuple()
+            if key in seen:
+                prev_idx, prev_step = seen[key]
+                return MergerAudit(False, horizon, checked,
+                                   MergerCollision(prev_idx, prev_step, idx,
+                                                   k, key))
+            seen[key] = (idx, k)
+            checked += 1
+    return MergerAudit(True, horizon, checked)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from cubicorbit import (BitStream, MT19937, CorruptState, OrbitState,
                         generate_bits, validate_triple)
@@ -96,14 +97,16 @@ class TestGenerate:
         assert BitStream.from_bytes(out.read_bytes()) == want
 
     def test_coefficient_limit_fails_before_writing(self, tmp_path, capsys):
+        # --max-coeff-bits is no longer an option: a usage error, no output
         out, ck = tmp_path / "bits.raw", tmp_path / "state.txt"
-        code, _, err = run_cli(capsys, "generate", "--b", "0", "--c", "1",
-                               "--d", "-1", "--bits", "1000",
-                               "--max-coeff-bits", "50", "--out", str(out),
-                               "--checkpoint", str(ck))
-        assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "50-bit limit" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--b", "0", "--c", "1", "--d", "-1",
+                  "--bits", "1000", "--max-coeff-bits", "50",
+                  "--out", str(out), "--checkpoint", str(ck)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-coeff-bits 50" in err
+        assert "Traceback" not in err
         assert not out.exists() and not ck.exists()
 
     def test_drop_prefix_must_leave_bits(self, tmp_path, capsys):

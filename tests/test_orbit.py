@@ -3,8 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cubicorbit import (BitStream, Branch, CoefficientLimitExceeded,
-                        ConditionViolation, HalfRoot, OrbitState, branch_sign,
+from cubicorbit import (BitStream, ConditionViolation, HalfRoot, OrbitState,
                         generate_bits, inverse_step, isolate_root_bits,
                         pack_words, step, validate_triple)
 from conftest import random_triple
@@ -33,21 +32,13 @@ class TestValidate:
 
 
 class TestBranch:
-    @pytest.mark.parametrize("triple,expected", [
-        ((0, 1, -1), Branch.RIGHT),    # 1 + 4 - 8 = -3
-        ((3, 7, -3), Branch.LEFT),     # 1 + 6 + 28 - 24 = 11
-        ((6, 28, -24), Branch.RIGHT),  # 1 + 12 + 112 - 192 = -67
-    ])
-    def test_known_branches(self, triple, expected):
-        assert branch_sign(validate_triple(*triple)) is expected
-
     def test_branch_agrees_with_root_position(self):
-        # bit 0 iff the root's first expansion bit is 0
+        # the first expansion bit is 1 iff the half value is negative
         rng = random.Random(0xB1)
         for _ in range(200):
             t = random_triple(rng)
             first_bit, _ = isolate_root_bits(t, 1)
-            assert branch_sign(t).bit == int(first_bit)
+            assert int(t.half_value < 0) == int(first_bit)
 
     def test_half_value_is_always_odd(self):
         # 1 + 2b + 4c + 8d is odd for any integers, so the HalfRoot
@@ -56,7 +47,6 @@ class TestBranch:
         for _ in range(500):
             t = random_triple(rng)
             assert t.half_value % 2 == 1
-            branch_sign(t)  # never raises on a valid triple
         assert issubclass(HalfRoot, ValueError)
 
 
@@ -152,14 +142,6 @@ class TestGenerate:
             expansion, interval = isolate_root_bits(t, k)
             assert bits.to01() == expansion
             assert interval.width().denominator == 1 << k
-
-    def test_coefficient_guard(self):
-        t = validate_triple(0, 1, -1)
-        with pytest.raises(CoefficientLimitExceeded):
-            generate_bits(t, 1000, max_coeff_bits=64)
-        # generous limit does not interfere
-        bits, _ = generate_bits(t, 16, max_coeff_bits=10_000)
-        assert bits.to01()[:8] == "10101110"
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):

@@ -134,8 +134,17 @@ class TestRefine:
             "0.3646556078 +/- 4.657e-10 (width 1/1073741824)"
         # 2^14000 has 4215 digits, just below the default 4300-digit limit
         assert str(refine_to_resolution(t, 14000)) == (
-            f"0.68232780382801927 +/- 0.000e+00 (width 1/{2**14000})")
+            f"0.68232780382801927 +/- 1/2^14001 (width 1/{2**14000})")
+
+    def test_str_half_width_below_the_smallest_float(self):
+        # 2^-1074 is the smallest subnormal float; past it the half-width
+        # is printed exactly instead of underflowing to 0.000e+00
+        t = validate_triple(0, 1, -1)
+        assert str(refine_to_resolution(t, 1073)) == (
+            f"0.68232780382801927 +/- 4.941e-324 (width 1/{2**1073})")
+        assert str(refine_to_resolution(t, 1074)) == (
+            f"0.68232780382801927 +/- 1/2^1075 (width 1/{2**1074})")
 
     def test_str_past_the_digit_limit(self):
         iv = refine_to_resolution(validate_triple(0, 1, -1), 20000)
-        assert str(iv) == "0.68232780382801927 +/- 0.000e+00 (width 1/2^20000)"
+        assert str(iv) == "0.68232780382801927 +/- 1/2^20001 (width 1/2^20000)"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,20 @@ from cubicorbit import (InvalidShape, PairVerdict, PrecisionTooLow, SeedSet,
                         SourceReason, build_seed_set,
                         field_distinctness_check, gap_report, inverse_step,
                         is_source_point, merger_audit, step, validate_triple)
+from conftest import merger_audit_all_states, random_triple
+
+
+def _family(*members):
+    return SeedSet(b=0, c=1, members=tuple(members), excluded=(),
+                   parity_rule=False)
+
+
+def _chain(t, n):
+    """t and the n states after it on its orbit."""
+    states = [t]
+    for _ in range(n):
+        states.append(step(states[-1])[0])
+    return states
 
 
 class TestSourcePoints:
@@ -143,6 +158,46 @@ class TestMergerAudit:
         assert (col.member_a, col.step_a) == (1, 0)
         assert (col.member_b, col.step_b) == (0, 1)
         assert col.triple == successor.as_tuple()
+
+    @pytest.mark.parametrize("c", [1, 2, 8, 9])
+    @pytest.mark.parametrize("horizon", [1, 5, 200])
+    def test_equals_all_states_scan_on_families(self, c, horizon):
+        fam = build_seed_set(0, c)
+        assert merger_audit(fam, horizon) == merger_audit_all_states(fam, horizon)
+
+    def test_equals_all_states_scan_on_one_orbit_chain(self):
+        rng = random.Random(0x3E6)
+        for offset in range(1, 13):
+            chain = _chain(random_triple(rng), 30)
+            start = rng.randrange(0, 30 - offset)
+            picks = [chain[start], chain[start + offset]]
+            # more members from the same chain and from elsewhere
+            picks += rng.sample(chain, rng.randrange(0, 4))
+            picks += [random_triple(rng, c_max=5000)
+                      for _ in range(rng.randrange(0, 3))]
+            picks = list(dict.fromkeys(picks))  # no duplicates here
+            rng.shuffle(picks)
+            fam = _family(*picks)
+            for horizon in (offset - 1 or 1, offset, offset + 3):
+                got = merger_audit(fam, horizon)
+                assert got == merger_audit_all_states(fam, horizon)
+            assert not got.passed and got.collision.step_a == 0
+
+    def test_equals_all_states_scan_on_duplicates(self):
+        a, b, c = (validate_triple(0, 9, d) for d in (-1, -2, -3))
+        succ_a = step(a)[0]
+        for members in [(a, a), (a, b, a), (a, a, a), (b, a, c, a, b),
+                        (a, b, b, a), (succ_a, a, succ_a), (c, b, a, c)]:
+            fam = _family(*members)
+            got = merger_audit(fam, 5)
+            assert got == merger_audit_all_states(fam, 5)
+            assert not got.passed and got.collision.step_b == 0
+
+    def test_single_member(self):
+        fam = _family(validate_triple(0, 1, -1))
+        got = merger_audit(fam, 50)
+        assert got == merger_audit_all_states(fam, 50)
+        assert got.passed and got.states_checked == 51
 
     def test_rejects_zero_horizon(self):
         with pytest.raises(ValueError):
