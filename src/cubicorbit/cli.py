@@ -55,6 +55,8 @@ def _worker_generate(job) -> bytes:
 def cmd_generate(args) -> int:
     out_path = args.out or "-"
     fmt = OutputFormat(args.format)
+    if out_path == "-" and fmt is not OutputFormat.ASCII_BITS:
+        raise ValueError("generate: only --format ascii can write to stdout")
     if args.seed_set:
         try:
             b_str, c_str = args.seed_set.split(",")
@@ -86,8 +88,6 @@ def cmd_generate(args) -> int:
             with open(args.checkpoint, "w") as fh:
                 fh.write(text)
     if out_path == "-":
-        if fmt is not OutputFormat.ASCII_BITS:
-            raise ValueError("generate: only --format ascii can write to stdout")
         sys.stdout.write(stream.to01() + "\n")
     else:
         write_bits(out_path, stream, fmt)
@@ -132,7 +132,7 @@ def cmd_seeds(args) -> int:
             "max_deviation": rep.max_deviation_float(),
             "entries": [{"d": g.d, "delta": float(g.delta)} for g in rep.gaps],
         }
-    if args.audit_mergers:
+    if args.audit_mergers is not None:
         audit = merger_audit(fam, args.audit_mergers)
         payload["merger_audit"] = {
             "horizon": audit.horizon,
@@ -146,7 +146,7 @@ def cmd_seeds(args) -> int:
                 "member_b": c.member_b, "step_b": c.step_b,
             }
             failed = True
-    if args.distinctness:
+    if args.distinctness is not None:
         rep = field_distinctness_check(fam, args.distinctness)
         unknown = rep.unknown_pairs()
         payload["distinctness"] = {
@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=64,
                    help="root enclosure precision in bits")
     p.add_argument("--audit-mergers", type=int, metavar="H",
-                   help="scan orbits H steps for collisions")
+                   help="check that no two member orbits merge "
+                        "within H steps")
     p.add_argument("--distinctness", type=int, metavar="BOUND",
                    help="discriminant-kernel check, trial division bound")
     p.set_defaults(fn=cmd_seeds)

@@ -30,8 +30,10 @@ Newton steps with precision doubling (exact bisection for the first few
 bits of a small triple) and certifies every step that way; its cost is
 a few big multiplications and one division per doubling, against
 O(n^2) for n single steps. step() stays as the one-bit reference the
-tests compare jump() with, and seeds.merger_audit walks orbits with it;
-both read the branch off the sign of the half value 1 + 2b + 4c + 8d.
+tests compare jump() with, and seeds.merger_audit confirms a collision
+with it; both read the branch off the sign of the half value
+1 + 2b + 4c + 8d. inverse_step() undoes step(), and seeds.merger_audit
+walks member chains backwards with it.
 """
 
 from __future__ import annotations

@@ -6,9 +6,8 @@ equidistantly (gaps close to 1/c), which makes the family a natural
 pool of seeds for generating many sequences at once. The audits here
 check the three properties one wants from such a pool:
 
-* no member's orbit can merge with another's (source points, or an
-  explicit collision scan over a finite horizon; since the doubling map
-  is injective, the scan only has to store the starting triples),
+* no member's orbit can merge with another's within a horizon (each
+  member's chain back through the inverse map meets no other member),
 * the roots really are spread out (certified gap bounds), and
 * as a stronger separation heuristic, the defining cubics' squarefree
   discriminant kernels are pairwise different, which already forces the
@@ -21,9 +20,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .orbit import CoeffTriple, ConditionViolation, HalfRoot, step, validate_triple
+from .orbit import (CoeffTriple, ConditionViolation, HalfRoot, inverse_step,
+                    step, validate_triple)
 from .roots import Dyadic, refine_to_resolution
 
 
@@ -184,43 +184,43 @@ class MergerAudit:
 
 
 def merger_audit(s: SeedSet, horizon: int) -> MergerAudit:
-    """Scan all member orbits for any shared state within the horizon.
+    """Find the earliest merger of member orbits within the horizon.
 
-    Every state of every member over `horizon` steps is checked against
-    the members' starting triples, and only those are stored. That finds
-    every merger because step is injective on integer triples (each
-    branch is affine, and the two give b of opposite parity): if two
-    states in the horizon are equal, stepping both back shows an orbit
-    reaching some member's starting triple no later. Advancing
-    breadth-first makes the reported collision the earliest one by step
-    index, so it has step_a = 0. Duplicate members collide at step 0,
-    reported against the last copy.
+    step is injective, so member i reaches member j's start at step k
+    exactly when k inverse steps from member j give member i, and any
+    merger leads back to such a hit no later. Each member's chain is
+    walked back to a source point (about bit_length(c)/2 steps) or the
+    horizon, and looked up among the starts. The least (step, member)
+    hit, confirmed with step, is what a breadth-first walk meets first;
+    states_checked counts the states within the horizon that walk
+    visits, len(s) * (horizon + 1) on a pass, all covered by the proof.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    current = list(s.members)
-    start: Dict[Tuple[int, int, int], int] = {}
-    duplicate = None
-    # scanning down, the last copy of a triple owns it, and the last
-    # repeat found is the first member that has a later copy
-    for idx in reversed(range(len(current))):
-        key = current[idx].as_tuple()
-        owner = start.setdefault(key, idx)
-        if owner != idx:
-            duplicate = MergerCollision(owner, 0, idx, 0, key)
-    checked = len(current)
-    if duplicate is not None:
-        return MergerAudit(False, horizon, checked, duplicate)
-    for k in range(1, horizon + 1):
-        for idx in range(len(current)):
-            nxt, _bit = step(current[idx])
-            current[idx] = nxt
-            key = nxt.as_tuple()
-            if key in start:
-                return MergerAudit(False, horizon, checked,
-                                   MergerCollision(start[key], 0, idx, k, key))
-            checked += 1
-    return MergerAudit(True, horizon, checked)
+    start = {t.as_tuple(): idx for idx, t in enumerate(s.members)}
+    for idx, t in enumerate(s.members):
+        owner = start[t.as_tuple()]  # the last copy of a triple owns it
+        if owner != idx:  # duplicate members collide at step 0
+            return MergerAudit(False, horizon, len(s),
+                               MergerCollision(owner, 0, idx, 0, t.as_tuple()))
+    hits = []  # (k, i, j): member i steps onto member j's start at step k
+    for j, t in enumerate(s.members):
+        for k in range(1, horizon + 1):
+            t = inverse_step(t)
+            if t is None:
+                break
+            if t.as_tuple() in start:
+                hits.append((k, start[t.as_tuple()], j))
+                break
+    if not hits:
+        return MergerAudit(True, horizon, len(s) * (horizon + 1))
+    k, i, j = min(hits)
+    t = s.members[i]
+    for _ in range(k):
+        t = step(t)[0]
+    assert t == s.members[j], "inverse_step disagrees with step"
+    return MergerAudit(False, horizon, len(s) * k + i,
+                       MergerCollision(j, 0, i, k, t.as_tuple()))
 
 
 class PairVerdict(Enum):

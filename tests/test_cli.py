@@ -120,6 +120,16 @@ class TestGenerate:
             assert "--drop-prefix-bits" in err
             assert not out.exists()
 
+    def test_stdout_needs_ascii_before_any_work(self, tmp_path, capsys):
+        ck = tmp_path / "ck.txt"
+        code, out, err = run_cli(capsys, "generate", "--b", "0", "--c", "1",
+                                 "--d", "-1", "--bits", "100",
+                                 "--checkpoint", str(ck))
+        assert code == 2
+        assert out == ""
+        assert err == "error: generate: only --format ascii can write to stdout\n"
+        assert not ck.exists()
+
     def test_seed_set_parallel_matches_serial(self, tmp_path, capsys):
         a, b = tmp_path / "a.raw", tmp_path / "b.raw"
         run_cli(capsys, "generate", "--seed-set", "0,4", "--per-seed-bits",
@@ -178,6 +188,17 @@ class TestSeeds:
         assert payload["gaps"]["count"] == 100
         assert payload["gaps"]["max_deviation"] < 3 / 101
         assert payload["merger_audit"]["passed"] is True
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--audit-mergers", "horizon must be at least 1"),
+        ("--distinctness", "factor_bound must be at least 2")],
+        ids=["audit-mergers", "distinctness"])
+    def test_zero_audit_argument_is_usage_error(self, capsys, flag, message):
+        code, out, err = run_cli(capsys, "seeds", "--b", "0", "--c", "5",
+                                 flag, "0")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_distinctness_summary(self, capsys):
         code, out, _ = run_cli(capsys, "seeds", "--b", "0", "--c", "5",

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from cubicorbit import (InvalidShape, PairVerdict, PrecisionTooLow, SeedSet,
-                        SourceReason, build_seed_set,
+from cubicorbit import (InvalidShape, MergerCollision, PairVerdict,
+                        PrecisionTooLow, SeedSet, SourceReason, build_seed_set,
                         field_distinctness_check, gap_report, inverse_step,
-                        is_source_point, merger_audit, step, validate_triple)
+                        is_source_point, merger_audit, seeds, step,
+                        validate_triple)
 from conftest import merger_audit_all_states, random_triple
 
 
@@ -164,6 +165,46 @@ class TestMergerAudit:
     def test_equals_all_states_scan_on_families(self, c, horizon):
         fam = build_seed_set(0, c)
         assert merger_audit(fam, horizon) == merger_audit_all_states(fam, horizon)
+
+    @pytest.mark.parametrize("b, c", [(1, 7), (0, 64)])
+    @pytest.mark.parametrize("horizon", [1, 5, 200])
+    def test_equals_all_states_scan_on_non_source_families(self, b, c, horizon):
+        # b + c even: some members have predecessors, so chains are walked
+        fam = build_seed_set(b, c)
+        assert any(inverse_step(m) is not None for m in fam)
+        assert merger_audit(fam, horizon) == merger_audit_all_states(fam, horizon)
+
+    def test_collision_at_the_horizon_is_reported(self):
+        chain = _chain(validate_triple(1, 5, -2), 200)
+        fam = _family(chain[0], chain[200])
+        got = merger_audit(fam, 200)
+        assert got == merger_audit_all_states(fam, 200)
+        assert got.collision == MergerCollision(1, 0, 0, 200,
+                                                chain[200].as_tuple())
+        assert got.states_checked == 2 * 200
+
+    def test_collision_past_the_horizon_passes(self):
+        chain = _chain(validate_triple(1, 5, -2), 201)
+        fam = _family(chain[0], chain[201])
+        got = merger_audit(fam, 200)
+        assert got == merger_audit_all_states(fam, 200)
+        assert got.passed and got.states_checked == 2 * 201
+
+    def test_least_step_then_least_member_wins(self):
+        # members 1 and 2 collide at step 4, member 0 only at step 5; the
+        # targets are listed so that the chain walked first has the worst hit
+        x, a, b = (_chain(validate_triple(0, 9, d), 5) for d in (-1, -4, -7))
+        fam = _family(x[0], a[0], b[0], x[5], b[4], a[4])
+        got = merger_audit(fam, 10)
+        assert got == merger_audit_all_states(fam, 10)
+        assert got.collision == MergerCollision(5, 0, 1, 4, a[4].as_tuple())
+        assert got.states_checked == 6 * 4 + 1
+
+    def test_hit_is_confirmed_with_step(self, monkeypatch):
+        chain = _chain(validate_triple(0, 1, -1), 3)
+        monkeypatch.setattr(seeds, "step", lambda t: (t, 0))
+        with pytest.raises(AssertionError):
+            merger_audit(_family(chain[0], chain[3]), 5)
 
     def test_equals_all_states_scan_on_one_orbit_chain(self):
         rng = random.Random(0x3E6)
