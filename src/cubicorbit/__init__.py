@@ -20,8 +20,8 @@ from .mt19937 import (MT19937, DataCorrupt, LagPair, RankDeficient,
 from .orbit import (CoeffTriple, ConditionViolation, HalfRoot, OrbitState,
                     generate_bits, inverse_step, jump, shifted, step,
                     validate_triple)
-from .roots import (CorruptState, Dyadic, RootInterval, isolate_root_bits,
-                    poly_sign_at_dyadic, refine_to_resolution)
+from .roots import (CorruptState, RootInterval, isolate_root_bits,
+                    refine_to_resolution)
 from .seeds import (DistinctnessReport, GapEntry, GapReport, InvalidShape,
                     KernelInfo, MergerAudit, MergerCollision, PairVerdict,
                     PrecisionTooLow, SeedSet, SourceReason, SourceVerdict,
@@ -42,8 +42,8 @@ __all__ = [
     "CoeffTriple", "ConditionViolation", "HalfRoot", "OrbitState",
     "generate_bits", "inverse_step", "jump", "shifted", "step",
     "validate_triple",
-    "CorruptState", "Dyadic", "RootInterval", "isolate_root_bits",
-    "poly_sign_at_dyadic", "refine_to_resolution",
+    "CorruptState", "RootInterval", "isolate_root_bits",
+    "refine_to_resolution",
     "DistinctnessReport", "GapEntry", "GapReport", "InvalidShape",
     "KernelInfo", "MergerAudit", "MergerCollision", "PairVerdict",
     "PrecisionTooLow", "SeedSet", "SourceReason", "SourceVerdict",

@@ -57,6 +57,8 @@ def cmd_generate(args) -> int:
     fmt = OutputFormat(args.format)
     if out_path == "-" and fmt is not OutputFormat.ASCII_BITS:
         raise ValueError("generate: only --format ascii can write to stdout")
+    if args.jobs < 1:
+        raise ValueError("generate: --jobs must be at least 1")
     if args.seed_set:
         try:
             b_str, c_str = args.seed_set.split(",")
@@ -71,12 +73,18 @@ def cmd_generate(args) -> int:
         jobs = [(m.as_tuple(), args.per_seed_bits, args.drop_prefix_bits)
                 for m in fam.members]
         if args.jobs > 1:
+            # a few contiguous runs of members per worker, not one pickle
+            # round trip per member
+            per_chunk = -(-len(jobs) // (4 * args.jobs))
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                chunks = list(pool.map(_worker_generate, jobs, chunksize=1))
+                chunks = list(pool.map(_worker_generate, jobs,
+                                       chunksize=per_chunk))
         else:
             chunks = [_worker_generate(j) for j in jobs]
         stream = BitStream(np.frombuffer(b"".join(chunks), dtype=np.uint8))
     else:
+        if args.bits < 1:
+            raise ValueError("generate: --bits must be at least 1")
         if args.resume:
             with open(args.resume) as fh:
                 state: OrbitState | CoeffTriple = OrbitState.from_text(fh.read())
@@ -109,6 +117,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_seeds(args) -> int:
+    # the audits' own range checks, made before any of them runs
+    if args.gaps and args.precision < 32:
+        raise ValueError("precision must be at least 32 bits")
+    if args.audit_mergers is not None and args.audit_mergers < 1:
+        raise ValueError("horizon must be at least 1")
+    if args.distinctness is not None and args.distinctness < 2:
+        raise ValueError("factor_bound must be at least 2")
     fam = build_seed_set(args.b, args.c)
     verdicts = [(m, is_source_point(m)) for m in fam.members]
     payload = {
@@ -170,6 +185,8 @@ def _load_scan_words(args) -> np.ndarray:
 
 def cmd_mt(args) -> int:
     if args.mt_cmd == "gen":
+        if args.count == 0:
+            raise ValueError("mt gen: --count must be at least 1")
         words = MT19937(args.seed).generate(args.count)
         write_words_le(args.out, words)
         return EXIT_OK

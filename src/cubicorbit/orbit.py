@@ -26,14 +26,13 @@ triple is the Taylor shift 8^n * f((x + m) / 2^n), i.e.
 
 and (ii), (iii) on it say exactly f(m/2^n) < 0 < f((m+1)/2^n), so
 constructing it certifies all n bits at once. jump() finds m by integer
-Newton steps with precision doubling (exact bisection for the first few
-bits of a small triple) and certifies every step that way; its cost is
-a few big multiplications and one division per doubling, against
-O(n^2) for n single steps. step() stays as the one-bit reference the
-tests compare jump() with, and seeds.merger_audit confirms a collision
-with it; both read the branch off the sign of the half value
-1 + 2b + 4c + 8d. inverse_step() undoes step(), and seeds.merger_audit
-walks member chains backwards with it.
+Newton steps with precision doubling and certifies every step that way;
+its cost is a few big multiplications and one division per doubling,
+against O(n^2) for n single steps. step() stays as the one-bit
+reference the tests compare jump() with, and seeds.merger_audit
+confirms a collision with it; both read the branch off the sign of the
+half value 1 + 2b + 4c + 8d. inverse_step() undoes step(), and
+seeds.merger_audit walks member chains backwards with it.
 """
 
 from __future__ import annotations
@@ -231,17 +230,11 @@ def jump(t: CoeffTriple, n: int) -> Tuple[int, CoeffTriple]:
         # -d/c is within (|b| + 1)/c of the root, so this k keeps the
         # estimate of the next k bits within 1/2 before rounding down;
         # keeping only the top k + 8 bits of c and d adds less than 1/16.
-        k = min(left, c.bit_length() - (abs(b) + 1).bit_length() - 2)
-        if k < 1:  # triple still small: one exact bisection step
-            h = 1 + 2 * b + 4 * c + 8 * d  # 8 f(1/2)
-            m, left = 2 * m + (h < 0), left - 1
-            if h > 0:
-                b, c, d = 2 * b, 4 * c, 8 * d
-            else:
-                b, c, d = 2 * b + 3, 4 * (b + c) + 3, h
-            continue
+        # On a small triple k is 1 and x, clamped to [0, 2^k) (it is never
+        # negative: -d, c > 0), is one bit off by at most one.
+        k = max(1, min(left, c.bit_length() - (abs(b) + 1).bit_length() - 2))
         s = max(0, c.bit_length() - k - 8)
-        x = ((-d >> s) << k) // (c >> s)
+        x = min(((-d >> s) << k) // (c >> s), (1 << k) - 1)
         b1, c1, d1 = _shift(b, c, d, x, k)
         for _ in range(_MAX_CORRECTIONS):
             if d1 >= 0:                    # f(x / 2^k) >= 0: x too large

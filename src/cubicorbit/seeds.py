@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 from .orbit import (CoeffTriple, ConditionViolation, HalfRoot, inverse_step,
                     step, validate_triple)
-from .roots import Dyadic, refine_to_resolution
+from .roots import refine_to_resolution
 
 
 class InvalidShape(ValueError):
@@ -118,12 +118,13 @@ def build_seed_set(b: int, c: int) -> SeedSet:
 class GapEntry:
     """Gap between the roots of consecutive members, labeled by the upper d.
 
-    delta is the point estimate from the enclosure left endpoints; lo and
-    hi bound the true gap rigorously.
+    With both roots enclosed to width 2**-p, delta = g / 2^p is the
+    difference of the enclosures' left ends, and lo = (g - 1) / 2^p and
+    hi = (g + 1) / 2^p bound the true gap rigorously.
     """
 
     d: int
-    delta: Dyadic
+    delta: Fraction
     lo: Fraction
     hi: Fraction
 
@@ -146,24 +147,21 @@ def gap_report(s: SeedSet, precision: int) -> GapReport:
     """
     if precision < 32:
         raise ValueError("precision must be at least 32 bits")
-    c = s.c
-    enclosures = [refine_to_resolution(m, precision) for m in s.members]
-    eps = Fraction(1, 1 << precision)
+    c, one = s.c, 1 << precision
+    ms = [refine_to_resolution(t, precision).m for t in s.members]
     gaps: List[GapEntry] = []
-    max_dev = Fraction(0)
-    for upper, lower in zip(enclosures, enclosures[1:]):
-        # upper member has d, lower member has d-1 and the larger root
-        d_label = upper.triple.d
-        lo = lower.lo.as_fraction() - upper.lo.as_fraction() - eps
-        hi = lower.lo.as_fraction() - upper.lo.as_fraction() + eps
-        if lo <= 0:
+    max_dev = 0  # in units of 2^-precision
+    # upper member has d, lower member has d-1 and the larger root
+    for upper, m_upper, m_lower in zip(s.members, ms, ms[1:]):
+        g = m_lower - m_upper
+        if g <= 1:
             raise PrecisionTooLow(
-                f"cannot certify a positive gap at d={d_label} "
+                f"cannot certify a positive gap at d={upper.d} "
                 f"with 2^-{precision} enclosures")
-        gaps.append(GapEntry(d=d_label, delta=lower.lo - upper.lo,
-                             lo=lo, hi=hi))
-        max_dev = max(max_dev, abs(lo * c - 1), abs(hi * c - 1))
-    return GapReport(tuple(gaps), max_dev)
+        gaps.append(GapEntry(d=upper.d, delta=Fraction(g, one),
+                             lo=Fraction(g - 1, one), hi=Fraction(g + 1, one)))
+        max_dev = max(max_dev, abs((g - 1) * c - one), abs((g + 1) * c - one))
+    return GapReport(tuple(gaps), Fraction(max_dev, one))
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,19 @@ class TestGenerate:
         assert code == 0
         assert out.strip() == "10101110"
 
-    def test_zero_bits(self, capsys):
-        code, out, _ = run_cli(capsys, "generate", "--b", "0", "--c", "1",
-                               "--d", "-1", "--bits", "0", "--format", "ascii")
-        assert code == 0
-        assert out.strip() == ""
+    def test_zero_bits(self, tmp_path, capsys):
+        # --bits 0, and no --bits at all, is a usage error that writes nothing
+        src = ["generate", "--b", "0", "--c", "1", "--d", "-1"]
+        out_file, ck = tmp_path / "bits.raw", tmp_path / "ck.txt"
+        for argv in ([*src, "--bits", "0", "--format", "ascii"],
+                     [*src, "--format", "ascii"],
+                     [*src, "--bits", "0", "--out", str(out_file),
+                      "--checkpoint", str(ck)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == "error: generate: --bits must be at least 1\n"
+        assert not out_file.exists() and not ck.exists()
 
     def test_invalid_triple_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--b", "2", "--c", "1",
@@ -139,6 +147,18 @@ class TestGenerate:
                 "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_seed_set_needs_a_worker(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(cli, "build_seed_set", None)  # no work may start
+        out_file = tmp_path / "f.raw"
+        code, out, err = run_cli(capsys, "generate", "--seed-set", "0,4",
+                                 "--per-seed-bits", "128", "--jobs", jobs,
+                                 "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err == "error: generate: --jobs must be at least 1\n"
+        assert not out_file.exists()
+
 
 class TestVerify:
     def test_pass(self, capsys):
@@ -200,6 +220,21 @@ class TestSeeds:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_options_checked_before_the_gap_report(self, capsys, monkeypatch):
+        def no_gaps(*args):
+            raise AssertionError("gap_report ran before the option checks")
+        monkeypatch.setattr(cli, "gap_report", no_gaps)
+        for argv, message in [
+                (["--precision", "4096", "--audit-mergers", "0"],
+                 "horizon must be at least 1"),
+                (["--distinctness", "1"], "factor_bound must be at least 2"),
+                (["--precision", "31"], "precision must be at least 32 bits")]:
+            code, out, err = run_cli(capsys, "seeds", "--b", "0", "--c",
+                                     "1001", "--gaps", *argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}\n"
+
     def test_distinctness_summary(self, capsys):
         code, out, _ = run_cli(capsys, "seeds", "--b", "0", "--c", "5",
                                "--distinctness", "1000")
@@ -224,6 +259,15 @@ class TestMt:
                                "--out", str(out))
         assert code == 2
         assert "count must be nonnegative" in err
+        assert not out.exists()
+
+    def test_gen_zero_count_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "mt.bin"
+        code, stdout, err = run_cli(capsys, "mt", "gen", "--count", "0",
+                                    "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == "error: mt gen: --count must be at least 1\n"
         assert not out.exists()
 
     def test_verify_passes(self, capsys):

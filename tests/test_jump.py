@@ -43,6 +43,23 @@ class TestJump:
             assert (m, after) == step_loop(resumed, n), n
             assert m == bisect_prefix(resumed, n), n
 
+    def test_matches_references_on_small_triples(self):
+        # every triple in the box whose first step has k = 1 and whose
+        # first estimate 2 * (-d) / c is 2 or more, as for (6, 12, -18)
+        # and (0, 1, -1): the estimate is clamped to one bit
+        cases = []
+        for b in range(7):
+            for c in range(max(1, -(-b * b // 3)), 61):
+                if c.bit_length() - (b + 1).bit_length() - 2 < 1:
+                    cases += [validate_triple(b, c, d)
+                              for d in range(-c, -(b + c) - 1, -1)]
+        assert len(cases) == 603
+        for t in cases:
+            for n in range(1, 10):
+                m, after = jump(t, n)
+                assert (m, after) == step_loop(t, n), (t, n)
+                assert m == bisect_prefix(t, n), (t, n)
+
     def test_jumps_compose(self, resumed):
         rng = random.Random(0x1B)
         for t in [random_triple(rng) for _ in range(20)] + [resumed]:

@@ -3,67 +3,34 @@ from fractions import Fraction
 
 import pytest
 
-from cubicorbit import (Dyadic, RootInterval, isolate_root_bits,
-                        poly_sign_at_dyadic, refine_to_resolution,
+from cubicorbit import (RootInterval, isolate_root_bits, refine_to_resolution,
                         validate_triple)
 from conftest import random_triple
 
 
-class TestDyadic:
-    def test_canonicalization(self):
-        assert Dyadic(4, 3) == Dyadic(1, 1)
-        assert Dyadic(0, 7) == Dyadic(0, 0)
-        assert Dyadic(6, 0) == Dyadic(6, 0)
-
-    def test_fraction_and_subtraction(self):
-        assert Dyadic(3, 2).as_fraction() == Fraction(3, 4)
-        assert (Dyadic(3, 2) - Dyadic(1, 3)).as_fraction() == Fraction(5, 8)
-        assert Dyadic(1, 3) < Dyadic(3, 2)
-
-    def test_rejects_negative_exponent(self):
-        with pytest.raises(ValueError):
-            Dyadic(1, -1)
-
-    def test_canonical_form_matches_halving_loop(self):
-        def halve(n, e):
-            while e > 0 and n % 2 == 0:
-                n //= 2
-                e -= 1
-            return n, e
-
-        rng = random.Random(0x54)
-        cases = [(0, 0), (0, 9), (1, 0), (-8, 2), (-8, 5)]
-        for _ in range(2000):
-            e = rng.randint(0, 80)
-            n = rng.randint(-1 << 40, 1 << 40) << rng.randint(0, 90)
-            cases.append((n, e))
-        for n, e in cases:
-            d = Dyadic(n, e)
-            assert (d.numerator, d.exponent) == halve(n, e), (n, e)
-
-
-class TestSignEvaluation:
-    def test_at_one_half(self):
-        assert poly_sign_at_dyadic(validate_triple(0, 1, -1), Dyadic(1, 1)) == -1
-        assert poly_sign_at_dyadic(validate_triple(0, 2, -1), Dyadic(1, 1)) == 1
-
-    def test_endpoint_signs_for_random_triples(self):
-        rng = random.Random(0x51)
-        for _ in range(100):
-            t = random_triple(rng)
-            assert poly_sign_at_dyadic(t, Dyadic(0, 0)) == -1  # f(0) = d < 0
-            assert poly_sign_at_dyadic(t, Dyadic(1, 0)) == 1   # f(1) > 0
-
-    def test_sign_matches_fraction_arithmetic(self):
+class TestCertificate:
+    def test_accepted_exactly_when_the_ends_bracket_the_root(self):
         rng = random.Random(0x52)
-        for _ in range(100):
+        for _ in range(8):
             t = random_triple(rng)
-            p = rng.randint(0, 1 << 10)
-            e = rng.randint(0, 10)
-            x = Fraction(p, 1 << e)
-            exact = x**3 + t.b * x**2 + t.c * x + t.d
-            want = (exact > 0) - (exact < 0)
-            assert poly_sign_at_dyadic(t, Dyadic(p, e)) == want
+            for k in range(11):
+                # f at every j / 2^k, by Fraction arithmetic on the cubic
+                xs = [Fraction(j, 1 << k) for j in range((1 << k) + 1)]
+                f = [x**3 + t.b * x**2 + t.c * x + t.d for x in xs]
+                for m in range(1 << k):
+                    if f[m] < 0 < f[m + 1]:
+                        iv = RootInterval(m, k, t)
+                        assert (iv.lo, iv.hi) == (Fraction(m, 1 << k),
+                                                  Fraction(m + 1, 1 << k))
+                    else:
+                        with pytest.raises(ValueError):
+                            RootInterval(m, k, t)
+
+    def test_rejects_intervals_outside_the_unit_interval(self):
+        t = validate_triple(0, 1, -1)
+        for m, k in ((-1, 0), (1, 0), (-1, 3), (8, 3), (9, 3), (0, -1)):
+            with pytest.raises(ValueError, match="inside"):
+                RootInterval(m, k, t)
 
 
 class TestBisection:
@@ -77,8 +44,8 @@ class TestBisection:
     def test_zero_depth(self):
         bits, interval = isolate_root_bits(validate_triple(0, 1, -1), 0)
         assert bits == ""
-        assert interval.lo.as_fraction() == 0
-        assert interval.hi.as_fraction() == 1
+        assert interval.lo == 0
+        assert interval.hi == 1
 
     def test_prefix_stability(self):
         rng = random.Random(0x53)
@@ -99,21 +66,21 @@ class TestBisection:
         t = validate_triple(0, 1, -1)
         # the root is in [1/2, 1); an interval that misses it must be rejected
         with pytest.raises(ValueError):
-            RootInterval(Dyadic(0, 1), Dyadic(1, 1), t)
+            RootInterval(0, 1, t)
 
 
 class TestRefine:
     def test_first_split(self):
         iv = refine_to_resolution(validate_triple(0, 1, -1), 1)
-        assert (iv.lo.as_fraction(), iv.hi.as_fraction()) == (Fraction(1, 2), 1)
+        assert (iv.lo, iv.hi) == (Fraction(1, 2), 1)
         iv = refine_to_resolution(validate_triple(0, 2, -1), 1)
-        assert (iv.lo.as_fraction(), iv.hi.as_fraction()) == (0, Fraction(1, 2))
+        assert (iv.lo, iv.hi) == (0, Fraction(1, 2))
 
     def test_deep_refinement_brackets_root(self):
         iv = refine_to_resolution(validate_triple(0, 1, -1), 20)
         assert iv.width() == Fraction(1, 1 << 20)
         target = Fraction(6823278, 10**7)  # known to 7 places
-        assert abs(iv.lo.as_fraction() - target) < Fraction(1, 10**6)
+        assert abs(iv.lo - target) < Fraction(1, 10**6)
 
     def test_rejects_zero_resolution(self):
         with pytest.raises(ValueError):
