@@ -17,11 +17,10 @@ from .mt19937 import (MT19937, DataCorrupt, LagPair, RankDeficient,
                       RecurrenceCheck, load_recurrence_matrices,
                       recover_matrices, scan_conditions_ab, temper,
                       untemper, verify_recurrence)
-from .orbit import (CoeffTriple, ConditionViolation, HalfRoot, OrbitState,
+from .orbit import (CoeffTriple, ConditionViolation, OrbitState,
                     generate_bits, inverse_step, jump, shifted, step,
                     validate_triple)
-from .roots import (CorruptState, RootInterval, isolate_root_bits,
-                    refine_to_resolution)
+from .roots import RootInterval, isolate_root_bits, refine_to_resolution
 from .seeds import (DistinctnessReport, GapEntry, GapReport, InvalidShape,
                     KernelInfo, MergerAudit, MergerCollision, PairVerdict,
                     PrecisionTooLow, SeedSet, SourceReason, SourceVerdict,
@@ -39,11 +38,9 @@ __all__ = [
     "MT19937", "DataCorrupt", "LagPair", "RankDeficient", "RecurrenceCheck",
     "load_recurrence_matrices", "recover_matrices", "scan_conditions_ab",
     "temper", "untemper", "verify_recurrence",
-    "CoeffTriple", "ConditionViolation", "HalfRoot", "OrbitState",
-    "generate_bits", "inverse_step", "jump", "shifted", "step",
-    "validate_triple",
-    "CorruptState", "RootInterval", "isolate_root_bits",
-    "refine_to_resolution",
+    "CoeffTriple", "ConditionViolation", "OrbitState", "generate_bits",
+    "inverse_step", "jump", "shifted", "step", "validate_triple",
+    "RootInterval", "isolate_root_bits", "refine_to_resolution",
     "DistinctnessReport", "GapEntry", "GapReport", "InvalidShape",
     "KernelInfo", "MergerAudit", "MergerCollision", "PairVerdict",
     "PrecisionTooLow", "SeedSet", "SourceReason", "SourceVerdict",

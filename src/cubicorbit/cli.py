@@ -28,16 +28,16 @@ from .bitstream import (BitStream, OutputFormat, read_bits, read_words_le,
 from .mt19937 import (MT19937, DEFAULT_SEED, lag_pairs_csv,
                       load_recurrence_matrices, recover_matrices,
                       scan_conditions_ab, verify_recurrence)
-from .orbit import (CoeffTriple, ConditionViolation, HalfRoot, OrbitState,
-                    generate_bits, validate_triple)
-from .roots import CorruptState, isolate_root_bits
-from .seeds import (InvalidShape, build_seed_set, field_distinctness_check,
-                    gap_report, is_source_point, merger_audit)
-from .stats import InputTooShort, run_suite
+from .orbit import CoeffTriple, OrbitState, generate_bits, validate_triple
+from .roots import isolate_root_bits
+from .seeds import (build_seed_set, field_distinctness_check, gap_report,
+                    is_source_point, merger_audit)
+from .stats import run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
 
 def _triple_from_args(args) -> CoeffTriple:
     if args.b is None or args.c is None or args.d is None:
@@ -52,6 +52,13 @@ def _worker_generate(job) -> bytes:
     return bits.bits[drop:].tobytes()
 
 
+def _check_whole_words(fmt: OutputFormat, n_bits: int) -> None:
+    """Whole words only: a padded last word would hold uncertified bits."""
+    if fmt is OutputFormat.WORDS32_LE and n_bits % 32:
+        raise ValueError(f"generate: --format words32le writes whole 32-bit "
+                         f"words, but {n_bits} bits is not a multiple of 32")
+
+
 def cmd_generate(args) -> int:
     out_path = args.out or "-"
     fmt = OutputFormat(args.format)
@@ -60,6 +67,11 @@ def cmd_generate(args) -> int:
     if args.jobs < 1:
         raise ValueError("generate: --jobs must be at least 1")
     if args.seed_set:
+        given = [k for k in ("b", "c", "d", "bits", "resume", "checkpoint")
+                 if getattr(args, k) is not None]
+        if given:
+            raise ValueError("generate: --seed-set does not take --"
+                             + ", --".join(given))
         try:
             b_str, c_str = args.seed_set.split(",")
             b_val, c_val = int(b_str), int(c_str)
@@ -70,6 +82,8 @@ def cmd_generate(args) -> int:
             raise ValueError("generate: --drop-prefix-bits must be at least 0 "
                              "and less than --per-seed-bits")
         fam = build_seed_set(b_val, c_val)
+        _check_whole_words(
+            fmt, len(fam) * (args.per_seed_bits - args.drop_prefix_bits))
         jobs = [(m.as_tuple(), args.per_seed_bits, args.drop_prefix_bits)
                 for m in fam.members]
         if args.jobs > 1:
@@ -83,26 +97,30 @@ def cmd_generate(args) -> int:
             chunks = [_worker_generate(j) for j in jobs]
         stream = BitStream(np.frombuffer(b"".join(chunks), dtype=np.uint8))
     else:
-        if args.bits < 1:
+        if args.bits is None or args.bits < 1:
             raise ValueError("generate: --bits must be at least 1")
+        _check_whole_words(fmt, args.bits)
         if args.resume:
             with open(args.resume) as fh:
                 state: OrbitState | CoeffTriple = OrbitState.from_text(fh.read())
         else:
             state = _triple_from_args(args)
         stream, final = generate_bits(state, args.bits)
-        if args.checkpoint:
-            text = final.to_text()
-            with open(args.checkpoint, "w") as fh:
-                fh.write(text)
     if out_path == "-":
         sys.stdout.write(stream.to01() + "\n")
     else:
         write_bits(out_path, stream, fmt)
+    # after the output, so it never claims unwritten bits (not in --seed-set)
+    if args.checkpoint:
+        text = final.to_text()
+        with open(args.checkpoint, "w") as fh:
+            fh.write(text)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.bits < 1:
+        raise ValueError("verify: --bits must be at least 1")
     triple = _triple_from_args(args)
     generated, _ = generate_bits(triple, args.bits)
     expected, _ = isolate_root_bits(triple, args.bits)
@@ -208,17 +226,16 @@ def cmd_mt(args) -> int:
             return EXIT_OK
         print("fail: recovered matrices differ from the packaged data")
         return EXIT_FAIL
-    if args.mt_cmd == "scan":
-        words = _load_scan_words(args)
-        pairs = scan_conditions_ab(words, a, b)
-        text = lag_pairs_csv(pairs)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    raise ValueError(f"unknown mt subcommand {args.mt_cmd}")  # pragma: no cover
+    # scan: argparse admits no fifth subcommand
+    words = _load_scan_words(args)
+    pairs = scan_conditions_ab(words, a, b)
+    text = lag_pairs_csv(pairs)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK
 
 
 def cmd_stats(args) -> int:
@@ -241,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int)
     p.add_argument("--c", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--bits", type=int, default=0, help="number of bits to emit")
+    p.add_argument("--bits", type=int, help="number of bits to emit")
     p.add_argument("--format", choices=sorted(f.value for f in OutputFormat),
                    default="raw")
     p.add_argument("--out", help="output path (default stdout, ascii only)")
@@ -311,8 +328,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConditionViolation, HalfRoot, CorruptState, InvalidShape,
-            InputTooShort, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,10 +7,11 @@ Under the admissibility conditions
     (ii)  d < 0                  (value at 0 is negative)
     (iii) 1 + b + c + d > 0      (value at 1 is positive)
 
-the cubic has a unique real root alpha in (0, 1), and alpha is
-irrational, so the sign of 8*f(1/2) = 1 + 2b + 4c + 8d decides exactly
-whether alpha lies below or above 1/2. Doubling alpha modulo 1 maps to
-an integer-only update of the triple:
+the cubic has a unique real root alpha in (0, 1). Its rational roots
+could only be integers, and f(0) < 0 < f(1), so alpha is irrational and
+no dyadic point is a root; 8*f(1/2) = 1 + 2b + 4c + 8d is odd, never 0,
+and its sign decides whether alpha lies below or above 1/2. Doubling
+alpha modulo 1 maps to an integer-only update of the triple:
 
     alpha in (0, 1/2):  (b, c, d) -> (2b, 4c, 8d),             emit 0
     alpha in (1/2, 1):  (b, c, d) -> (2b+3, 4b+4c+3, t),       emit 1
@@ -22,17 +23,16 @@ and the emitted bits are the binary expansion of alpha.
 After n steps with bits m = floor(2^n * alpha) (read as an integer) the
 triple is the Taylor shift 8^n * f((x + m) / 2^n), i.e.
 
-    (3m + b*2^n,  3m^2 + 2b*2^n*m + c*4^n,  8^n * f(m / 2^n)),
+    (3m + b*2^n,  3m^2 + 2b*2^n*m + c*4^n,  8^n * f(m / 2^n)).
 
-and (ii), (iii) on it say exactly f(m/2^n) < 0 < f((m+1)/2^n), so
-constructing it certifies all n bits at once. jump() finds m by integer
-Newton steps with precision doubling and certifies every step that way;
-its cost is a few big multiplications and one division per doubling,
-against O(n^2) for n single steps. step() stays as the one-bit
-reference the tests compare jump() with, and seeds.merger_audit
-confirms a collision with it; both read the branch off the sign of the
-half value 1 + 2b + 4c + 8d. inverse_step() undoes step(), and
-seeds.merger_audit walks member chains backwards with it.
+(ii), (iii) on it say exactly f(m/2^n) < 0 < f((m+1)/2^n), and (i)
+holds on every shift, as b'^2 - 3c' = 4^n (b^2 - 3c), so building it,
+shifted(t, m, n), certifies all n bits at once: the one certificate
+check. jump() finds m by integer Newton steps with precision doubling,
+certifying every step that way, at a few big multiplications and one
+division per doubling against O(n^2) for n single steps. step() is the
+one-bit reference the tests compare jump() with; seeds.merger_audit
+confirms collisions with it and walks chains back with inverse_step().
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Tuple, Union
-
-import numpy as np
 
 from .bitstream import BitStream
 
@@ -66,10 +64,6 @@ class ConditionViolation(ValueError):
                          f"(b,c,d)=({_show(b)},{_show(c)},{_show(d)})")
 
 
-class HalfRoot(ValueError):
-    """1 + 2b + 4c + 8d = 0, i.e. 1/2 would be a root; corrupt state."""
-
-
 @dataclass(frozen=True)
 class CoeffTriple:
     """Admissible coefficient triple; constructing one validates it."""
@@ -86,11 +80,7 @@ class CoeffTriple:
             raise ConditionViolation("ii", b, c, d)
         if 1 + b + c + d <= 0:
             raise ConditionViolation("iii", b, c, d)
-        if self.half_value == 0:
-            # Impossible when (i)-(iii) hold and the cubic is irreducible,
-            # which (i)-(iii) force; kept as a corruption tripwire.
-            raise HalfRoot(f"1+2b+4c+8d = 0 for "
-                           f"(b,c,d)=({_show(b)},{_show(c)},{_show(d)})")
+        # 1/2 is never a root: half_value = 1 + 2b + 4c + 8d is odd
 
     @property
     def half_value(self) -> int:
@@ -129,28 +119,22 @@ def inverse_step(t: CoeffTriple) -> CoeffTriple | None:
 
     The branch is read off the parity of b (images have b, c, d all even
     or all odd); the divisions must then be exact for a predecessor to
-    exist in the admissible set.
+    exist. Its cubic is f(2x)/8 or f(2x - 1)/8, with its root in (0, 1/2)
+    or (1/2, 1), so it is always admissible.
     """
     b, c, d = t.b, t.c, t.d
     if b % 2 == 0:
         if c % 4 or d % 8:
             return None
-        assert c % 2 == 0 and d % 2 == 0
-        cand = (b // 2, c // 4, d // 8)
-    else:
-        b0 = (b - 3) // 2
-        c0, r = divmod(c - 3 - 4 * b0, 4)
-        if r:
-            return None
-        d0, r = divmod(d - 1 - 2 * b0 - 4 * c0, 8)
-        if r:
-            return None
-        assert c % 2 == 1 and d % 2 == 1
-        cand = (b0, c0, d0)
-    try:
-        return CoeffTriple(*cand)
-    except ConditionViolation:  # pragma: no cover - unreachable, see tests
+        return CoeffTriple(b // 2, c // 4, d // 8)
+    b0 = (b - 3) // 2
+    c0, r = divmod(c - 3 - 4 * b0, 4)
+    if r:
         return None
+    d0, r = divmod(d - 1 - 2 * b0 - 4 * c0, 8)
+    if r:
+        return None
+    return CoeffTriple(b0, c0, d0)
 
 
 STATE_FORMAT = "cubicorbit-orbit-state 1"
@@ -263,7 +247,5 @@ def generate_bits(seed: Union[CoeffTriple, OrbitState],
     """
     state = seed if isinstance(seed, OrbitState) else OrbitState(seed, 0)
     m, triple = jump(state.triple, n)
-    n_bytes = (n + 7) // 8
-    packed = np.frombuffer(m.to_bytes(n_bytes, "big"), dtype=np.uint8)
-    bits = np.unpackbits(packed)[8 * n_bytes - n:]
-    return BitStream(bits), OrbitState(triple, state.step_index + n)
+    raw = (m << (-n % 8)).to_bytes((n + 7) // 8, "big")  # MSB-first
+    return BitStream.from_bytes(raw, n), OrbitState(triple, state.step_index + n)

@@ -22,8 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .orbit import (CoeffTriple, ConditionViolation, HalfRoot, inverse_step,
-                    step, validate_triple)
+from .orbit import CoeffTriple, inverse_step, step, validate_triple
 from .roots import refine_to_resolution
 
 
@@ -77,7 +76,7 @@ class SeedSet:
     b: int
     c: int
     members: Tuple[CoeffTriple, ...]
-    excluded: Tuple[Tuple[int, int, int], ...]
+    excluded: Tuple[Tuple[int, int, int], ...]  # always (): see build_seed_set
     parity_rule: bool  # b, c of opposite parity: guarantees all-source members
 
     def __len__(self) -> int:
@@ -96,22 +95,19 @@ class SeedSet:
 
 
 def build_seed_set(b: int, c: int) -> SeedSet:
-    """All admissible (b, c, d) with d in {-1, ..., -(b+c)}, d descending."""
+    """All (b, c, d) with d in {-1, ..., -(b+c)}, d descending.
+
+    With b^2 <= 3c every one is admissible (d < 0, 1 + b + c + d >= 1),
+    so none is excluded and the excluded field is always empty.
+    """
     if c < 1:
         raise InvalidShape(f"c must be a positive integer, got {c}")
     if b * b > 3 * c:
         raise InvalidShape(f"b^2 = {b * b} exceeds 3c = {3 * c}")
     if b + c < 1:
         raise InvalidShape(f"b + c = {b + c} < 1 leaves no d values")
-    members: List[CoeffTriple] = []
-    excluded: List[Tuple[int, int, int]] = []
-    for d in range(-1, -(b + c) - 1, -1):
-        try:
-            members.append(validate_triple(b, c, d))
-        except (ConditionViolation, HalfRoot):
-            excluded.append((b, c, d))
-    parity_rule = (b + c) % 2 == 1
-    return SeedSet(b, c, tuple(members), tuple(excluded), parity_rule)
+    members = tuple(validate_triple(b, c, d) for d in range(-1, -b - c - 1, -1))
+    return SeedSet(b, c, members, (), (b + c) % 2 == 1)
 
 
 @dataclass(frozen=True)

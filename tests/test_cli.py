@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cubicorbit import (BitStream, MT19937, CorruptState, OrbitState,
+from cubicorbit import (BitStream, MT19937, ConditionViolation, OrbitState,
                         generate_bits, validate_triple)
 from cubicorbit import cli
 from cubicorbit.bitstream import read_words_le, write_words_le
@@ -147,6 +147,68 @@ class TestGenerate:
                 "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv, n_bits", [
+        (["--b", "0", "--c", "1", "--d", "-1", "--bits", "31"], 31),
+        (["--b", "0", "--c", "1", "--d", "-1", "--bits", "100"], 100),
+        (["--seed-set", "0,7", "--per-seed-bits", "100"], 476)],
+        ids=["bits-31", "bits-100", "seed-set"])
+    def test_words_need_whole_words(self, tmp_path, capsys, monkeypatch,
+                                    argv, n_bits):
+        monkeypatch.setattr(cli, "generate_bits", None)  # no work may start
+        out_file, ck = tmp_path / "w.bin", tmp_path / "ck.txt"
+        extra = [] if "--seed-set" in argv else ["--checkpoint", str(ck)]
+        code, out, err = run_cli(capsys, "generate", *argv, *extra,
+                                 "--format", "words32le", "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: generate: --format words32le writes whole "
+                       f"32-bit words, but {n_bits} bits is not a multiple "
+                       f"of 32\n")
+        assert not out_file.exists() and not ck.exists()
+
+    def test_seed_set_words_of_whole_words(self, tmp_path, capsys):
+        out = tmp_path / "w.bin"
+        code, _, _ = run_cli(capsys, "generate", "--seed-set", "0,4",
+                             "--per-seed-bits", "72", "--drop-prefix-bits", "8",
+                             "--format", "words32le", "--out", str(out))
+        assert code == 0
+        chunks = [generate_bits(validate_triple(0, 4, d), 72)[0][8:]
+                  for d in (-1, -2, -3, -4)]
+        want = chunks[0] + chunks[1] + chunks[2] + chunks[3]
+        assert len(want) == 256
+        assert np.array_equal(read_words_le(out), want.pack_words().words)
+
+    @pytest.mark.parametrize("given, named", [
+        (["--b", "0", "--c", "1", "--d", "-1"], "--b, --c, --d"),
+        (["--bits", "5"], "--bits"),
+        (["--bits", "0"], "--bits"),
+        (["--checkpoint", "CK", "--resume", "nothere.txt", "--bits", "5"],
+         "--bits, --resume, --checkpoint")],
+        ids=["triple", "bits", "bits-0", "checkpoint-resume-bits"])
+    def test_seed_set_rejects_single_stream_options(self, tmp_path, capsys,
+                                                    monkeypatch, given, named):
+        monkeypatch.setattr(cli, "build_seed_set", None)  # no work may start
+        out_file, ck = tmp_path / "f.raw", tmp_path / "ck.txt"
+        given = [str(ck) if g == "CK" else g for g in given]
+        code, out, err = run_cli(capsys, "generate", "--seed-set", "0,8",
+                                 "--per-seed-bits", "64", *given,
+                                 "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: generate: --seed-set does not take {named}\n"
+        assert not out_file.exists() and not ck.exists()
+
+    def test_checkpoint_written_after_the_output(self, tmp_path, capsys):
+        ck = tmp_path / "ck.txt"
+        code, out, err = run_cli(capsys, "generate", "--b", "0", "--c", "1",
+                                 "--d", "-1", "--bits", "64", "--checkpoint",
+                                 str(ck), "--out",
+                                 str(tmp_path / "missing" / "x.raw"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not ck.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_seed_set_needs_a_worker(self, tmp_path, capsys, monkeypatch, jobs):
         monkeypatch.setattr(cli, "build_seed_set", None)  # no work may start
@@ -174,13 +236,22 @@ class TestVerify:
 
     def test_corrupt_state_is_usage_error(self, monkeypatch, capsys):
         def corrupt(t, k):
-            raise CorruptState("an interval end is an exact root of the cubic")
+            raise ConditionViolation("ii", 0, 1, 1)
         monkeypatch.setattr(cli, "isolate_root_bits", corrupt)
         code, out, err = run_cli(capsys, "verify", "--b", "0", "--c", "1",
                                  "--d", "-1", "--bits", "16")
         assert code == 2
         assert out == ""
-        assert err == "error: an interval end is an exact root of the cubic\n"
+        assert err == "error: condition (ii) fails for (b,c,d)=(0,1,1)\n"
+
+    @pytest.mark.parametrize("bits", ["0", "-3"])
+    def test_bits_below_one_is_usage_error(self, monkeypatch, capsys, bits):
+        monkeypatch.setattr(cli, "generate_bits", None)  # no work may start
+        code, out, err = run_cli(capsys, "verify", "--b", "0", "--c", "1",
+                                 "--d", "-1", "--bits", bits)
+        assert code == 2
+        assert out == ""
+        assert err == "error: verify: --bits must be at least 1\n"
 
 
 class TestSeeds:

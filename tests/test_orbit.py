@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from cubicorbit import (BitStream, ConditionViolation, HalfRoot, OrbitState,
+from cubicorbit import (BitStream, ConditionViolation, OrbitState,
                         generate_bits, inverse_step, isolate_root_bits,
                         pack_words, step, validate_triple)
 from conftest import random_triple
@@ -41,13 +41,12 @@ class TestBranch:
             assert int(t.half_value < 0) == int(first_bit)
 
     def test_half_value_is_always_odd(self):
-        # 1 + 2b + 4c + 8d is odd for any integers, so the HalfRoot
-        # tripwire can only ever fire on genuinely corrupted state.
+        # 1 + 2b + 4c + 8d is odd for any integers, so 1/2 is never a root
+        # and the branch is always decided; CoeffTriple needs no check for it
         rng = random.Random(0x0DD)
         for _ in range(500):
             t = random_triple(rng)
             assert t.half_value % 2 == 1
-        assert issubclass(HalfRoot, ValueError)
 
 
 class TestStep:

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from cubicorbit import (RootInterval, isolate_root_bits, refine_to_resolution,
-                        validate_triple)
+from cubicorbit import (ConditionViolation, RootInterval, isolate_root_bits,
+                        refine_to_resolution, validate_triple)
 from conftest import random_triple
 
 
@@ -23,7 +23,7 @@ class TestCertificate:
                         assert (iv.lo, iv.hi) == (Fraction(m, 1 << k),
                                                   Fraction(m + 1, 1 << k))
                     else:
-                        with pytest.raises(ValueError):
+                        with pytest.raises(ConditionViolation):
                             RootInterval(m, k, t)
 
     def test_rejects_intervals_outside_the_unit_interval(self):

@@ -90,6 +90,16 @@ class TestBuildSeedSet:
             if fam.parity_rule:
                 assert all(is_source_point(m).is_source for m in fam)
 
+    def test_every_d_is_admissible(self):
+        # b^2 <= 3c, d < 0 and 1 + b + c + d >= 1 leave nothing to exclude
+        for b in range(-6, 7):
+            for c in range(1, 61):
+                if b * b <= 3 * c and b + c >= 1:
+                    fam = build_seed_set(b, c)
+                    assert len(fam) == b + c
+                    assert [m.d for m in fam] == list(range(-1, -b - c - 1, -1))
+                    assert fam.excluded == ()
+
     def test_invalid_shape(self):
         with pytest.raises(InvalidShape):
             build_seed_set(5, 2)  # 25 > 6
