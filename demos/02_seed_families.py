@@ -24,7 +24,7 @@ print(fam.records())
 for m in fam:
     v = is_source_point(m)
     if not v.is_source:
-        print("non-source member:", m.as_tuple(), "->", v.reason.value)
+        print("non-source member:", m.as_tuple(), "->", v.value)
 
 # --- roots spread almost equidistantly --------------------------------
 # Consecutive root gaps, certified by exact dyadic enclosures. For

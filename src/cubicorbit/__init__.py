@@ -11,8 +11,8 @@ The package has three legs:
   and a small statistical test battery.
 """
 
-from .bitstream import BitStream, OutputFormat, PackResult, pack_words
-from .gf2 import Gf2Matrix32, Gf2Vector32
+from .bitstream import BitStream, OutputFormat, PackResult
+from .gf2 import Gf2Matrix32
 from .mt19937 import (MT19937, DataCorrupt, LagPair, RankDeficient,
                       RecurrenceCheck, load_recurrence_matrices,
                       recover_matrices, scan_conditions_ab, temper,
@@ -22,10 +22,10 @@ from .orbit import (CoeffTriple, ConditionViolation, OrbitState,
                     validate_triple)
 from .roots import RootInterval, isolate_root_bits, refine_to_resolution
 from .seeds import (DistinctnessReport, GapEntry, GapReport, InvalidShape,
-                    KernelInfo, MergerAudit, MergerCollision, PairVerdict,
-                    PrecisionTooLow, SeedSet, SourceReason, SourceVerdict,
-                    build_seed_set, field_distinctness_check, gap_report,
-                    is_source_point, merger_audit)
+                    KernelInfo, MergerAudit, MergerCollision, PrecisionTooLow,
+                    SeedSet, SourceReason, build_seed_set,
+                    field_distinctness_check, gap_report, is_source_point,
+                    merger_audit)
 from .stats import (InputTooShort, SuiteResult, TestReport,
                     approximate_entropy, block_frequency, cumulative_sums,
                     longest_run, monobit, run_suite, runs, serial)
@@ -33,8 +33,7 @@ from .stats import (InputTooShort, SuiteResult, TestReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitStream", "OutputFormat", "PackResult", "pack_words",
-    "Gf2Matrix32", "Gf2Vector32",
+    "BitStream", "OutputFormat", "PackResult", "Gf2Matrix32",
     "MT19937", "DataCorrupt", "LagPair", "RankDeficient", "RecurrenceCheck",
     "load_recurrence_matrices", "recover_matrices", "scan_conditions_ab",
     "temper", "untemper", "verify_recurrence",
@@ -42,10 +41,9 @@ __all__ = [
     "inverse_step", "jump", "shifted", "step", "validate_triple",
     "RootInterval", "isolate_root_bits", "refine_to_resolution",
     "DistinctnessReport", "GapEntry", "GapReport", "InvalidShape",
-    "KernelInfo", "MergerAudit", "MergerCollision", "PairVerdict",
-    "PrecisionTooLow", "SeedSet", "SourceReason", "SourceVerdict",
-    "build_seed_set", "field_distinctness_check", "gap_report",
-    "is_source_point", "merger_audit",
+    "KernelInfo", "MergerAudit", "MergerCollision", "PrecisionTooLow",
+    "SeedSet", "SourceReason", "build_seed_set", "field_distinctness_check",
+    "gap_report", "is_source_point", "merger_audit",
     "InputTooShort", "SuiteResult", "TestReport", "approximate_entropy",
     "block_frequency", "cumulative_sums", "longest_run", "monobit",
     "run_suite", "runs", "serial",

@@ -119,10 +119,6 @@ class BitStream:
         return PackResult(words=words, dropped_bits=int(dropped))
 
 
-def pack_words(s: BitsLike) -> PackResult:
-    return BitStream(s).pack_words()
-
-
 def write_words_le(path, words: np.ndarray) -> None:
     np.asarray(words, dtype=np.uint32).astype("<u4").tofile(path)
 

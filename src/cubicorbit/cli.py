@@ -28,8 +28,9 @@ from .bitstream import (BitStream, OutputFormat, read_bits, read_words_le,
 from .mt19937 import (MT19937, DEFAULT_SEED, lag_pairs_csv,
                       load_recurrence_matrices, recover_matrices,
                       scan_conditions_ab, verify_recurrence)
-from .orbit import CoeffTriple, OrbitState, generate_bits, validate_triple
-from .roots import isolate_root_bits
+from .orbit import (CoeffTriple, ConditionViolation, OrbitState,
+                    generate_bits, validate_triple)
+from .roots import RootInterval, isolate_root_bits
 from .seeds import (build_seed_set, field_distinctness_check, gap_report,
                     is_source_point, merger_audit)
 from .stats import run_suite
@@ -37,6 +38,9 @@ from .stats import run_suite
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# the options only --seed-set reads (None when not given), with defaults
+_FAMILY_DEFAULTS = {"per_seed_bits": 1000032, "drop_prefix_bits": 32, "jobs": 1}
 
 
 def _triple_from_args(args) -> CoeffTriple:
@@ -60,13 +64,20 @@ def _check_whole_words(fmt: OutputFormat, n_bits: int) -> None:
 
 
 def cmd_generate(args) -> int:
+    family = [k for k in _FAMILY_DEFAULTS if getattr(args, k) is not None]
+    if family and not args.seed_set:
+        raise ValueError("generate: only --seed-set takes --" + ", --".join(
+            k.replace("_", "-") for k in family))
     out_path = args.out or "-"
     fmt = OutputFormat(args.format)
     if out_path == "-" and fmt is not OutputFormat.ASCII_BITS:
         raise ValueError("generate: only --format ascii can write to stdout")
-    if args.jobs < 1:
-        raise ValueError("generate: --jobs must be at least 1")
     if args.seed_set:
+        per_seed, drop, n_jobs = (
+            default if getattr(args, k) is None else getattr(args, k)
+            for k, default in _FAMILY_DEFAULTS.items())
+        if n_jobs < 1:
+            raise ValueError("generate: --jobs must be at least 1")
         given = [k for k in ("b", "c", "d", "bits", "resume", "checkpoint")
                  if getattr(args, k) is not None]
         if given:
@@ -78,19 +89,17 @@ def cmd_generate(args) -> int:
         except ValueError:
             raise ValueError(f"generate: --seed-set wants 'B,C', "
                              f"got {args.seed_set!r}") from None
-        if not 0 <= args.drop_prefix_bits < args.per_seed_bits:
+        if not 0 <= drop < per_seed:
             raise ValueError("generate: --drop-prefix-bits must be at least 0 "
                              "and less than --per-seed-bits")
         fam = build_seed_set(b_val, c_val)
-        _check_whole_words(
-            fmt, len(fam) * (args.per_seed_bits - args.drop_prefix_bits))
-        jobs = [(m.as_tuple(), args.per_seed_bits, args.drop_prefix_bits)
-                for m in fam.members]
-        if args.jobs > 1:
+        _check_whole_words(fmt, len(fam) * (per_seed - drop))
+        jobs = [(m.as_tuple(), per_seed, drop) for m in fam.members]
+        if n_jobs > 1:
             # a few contiguous runs of members per worker, not one pickle
             # round trip per member
-            per_chunk = -(-len(jobs) // (4 * args.jobs))
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            per_chunk = -(-len(jobs) // (4 * n_jobs))
+            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
                 chunks = list(pool.map(_worker_generate, jobs,
                                        chunksize=per_chunk))
         else:
@@ -122,16 +131,17 @@ def cmd_verify(args) -> int:
     if args.bits < 1:
         raise ValueError("verify: --bits must be at least 1")
     triple = _triple_from_args(args)
-    generated, _ = generate_bits(triple, args.bits)
-    expected, _ = isolate_root_bits(triple, args.bits)
-    got = generated.to01()
-    if got == expected:
-        print(f"pass: {args.bits} bits of ({triple.b},{triple.c},{triple.d}) "
-              f"match the root expansion")
-        return EXIT_OK
-    first = next(i for i, (x, y) in enumerate(zip(got, expected)) if x != y)
-    print(f"fail: first mismatch at bit {first}")
-    return EXIT_FAIL
+    got = generate_bits(triple, args.bits)[0].to01()
+    try:  # the shifted-triple certificate, independent of how m was found
+        RootInterval(int(got, 2), args.bits, triple)
+    except ConditionViolation:
+        expected, _ = isolate_root_bits(triple, args.bits)
+        first = next(i for i, (x, y) in enumerate(zip(got, expected)) if x != y)
+        print(f"fail: first mismatch at bit {first}")
+        return EXIT_FAIL
+    print(f"pass: {args.bits} bits of ({triple.b},{triple.c},{triple.d}) "
+          f"match the root expansion")
+    return EXIT_OK
 
 
 def cmd_seeds(args) -> int:
@@ -143,7 +153,7 @@ def cmd_seeds(args) -> int:
     if args.distinctness is not None and args.distinctness < 2:
         raise ValueError("factor_bound must be at least 2")
     fam = build_seed_set(args.b, args.c)
-    verdicts = [(m, is_source_point(m)) for m in fam.members]
+    reasons = [(m, is_source_point(m)) for m in fam.members]
     payload = {
         "b": fam.b,
         "c": fam.c,
@@ -151,10 +161,10 @@ def cmd_seeds(args) -> int:
         "parity_rule": fam.parity_rule,
         "members": [
             {"b": m.b, "c": m.c, "d": m.d,
-             "source": v.is_source, "reason": v.reason.value}
-            for m, v in verdicts
+             "source": r.is_source, "reason": r.value}
+            for m, r in reasons
         ],
-        "excluded": [list(t) for t in fam.excluded],
+        "excluded": [],  # every d is admissible: see build_seed_set
     }
     failed = False
     if args.gaps:
@@ -162,7 +172,7 @@ def cmd_seeds(args) -> int:
         payload["gaps"] = {
             "precision": args.precision,
             "count": len(rep.gaps),
-            "max_deviation": rep.max_deviation_float(),
+            "max_deviation": float(rep.max_deviation),
             "entries": [{"d": g.d, "delta": float(g.delta)} for g in rep.gaps],
         }
     if args.audit_mergers is not None:
@@ -182,10 +192,11 @@ def cmd_seeds(args) -> int:
     if args.distinctness is not None:
         rep = field_distinctness_check(fam, args.distinctness)
         unknown = rep.unknown_pairs()
+        n_pairs = len(fam) * (len(fam) - 1) // 2
         payload["distinctness"] = {
             "factor_bound": rep.factor_bound,
-            "pairs": len(rep.pairs),
-            "distinct": len(rep.pairs) - len(unknown),
+            "pairs": n_pairs,
+            "distinct": n_pairs - len(unknown),
             "unknown": [[i, j] for i, j in unknown],
         }
     json.dump(payload, sys.stdout, indent=2)
@@ -267,12 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-set", metavar="B,C",
                    help="generate from every member of the (B,C) family, "
                         "concatenated in descending d order")
-    p.add_argument("--per-seed-bits", type=int, default=1000032,
-                   help="bits per family member in --seed-set mode")
-    p.add_argument("--drop-prefix-bits", type=int, default=32,
-                   help="bits dropped from the head of each member's output")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for --seed-set mode")
+    for k, what in [("per_seed_bits", "bits per family member"),
+                    ("drop_prefix_bits", "bits dropped from each member's head"),
+                    ("jobs", "parallel workers")]:
+        p.add_argument("--" + k.replace("_", "-"), type=int, help=(
+            f"{what} in --seed-set mode (default {_FAMILY_DEFAULTS[k]})"))
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("verify", help="check bits against the root expansion")

@@ -13,9 +13,6 @@ from typing import Callable, Iterable, List, Tuple
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
 
-# F_2^32 vectors are plain ints.
-Gf2Vector32 = int
-
 
 def parity(x: int) -> int:
     return x.bit_count() & 1
@@ -38,7 +35,7 @@ class Gf2Matrix32:
         """Row by 1-based index (row 1 produces the result's MSB)."""
         return self.rows[i - 1]
 
-    def mul(self, v: Gf2Vector32) -> Gf2Vector32:
+    def mul(self, v: int) -> int:
         """Matrix-vector product over GF(2)."""
         acc = 0
         for r in self.rows:

@@ -57,15 +57,6 @@ class MT19937:
         self._mt = np.array(mt, dtype=np.uint32)
         self._index = N
 
-    @property
-    def key(self) -> Tuple[int, ...]:
-        """The 624-word internal state array."""
-        return tuple(self._mt.tolist())
-
-    @property
-    def position(self) -> int:
-        return self._index
-
     def _twist(self) -> None:
         mt = self._mt
         for lo, hi in _TWIST_CHUNKS:
@@ -74,13 +65,6 @@ class MT19937:
             src = (lo + M) % N
             mt[lo:hi] = mt[src:src + hi - lo] ^ (y >> 1) ^ ((y & 1) * MATRIX_A)
         self._index = 0
-
-    def next_u32(self) -> int:
-        if self._index >= N:
-            self._twist()
-        y = int(self._mt[self._index])
-        self._index += 1
-        return temper(y)
 
     def generate(self, count: int) -> np.ndarray:
         """The next `count` outputs as a uint32 array."""

@@ -40,33 +40,32 @@ class SourceReason(Enum):
     ODD_RESIDUE = "odd_residue"
     NOT_SOURCE = "not_source"
 
-
-@dataclass(frozen=True)
-class SourceVerdict:
-    is_source: bool
-    reason: SourceReason
+    @property
+    def is_source(self) -> bool:
+        return self is not SourceReason.NOT_SOURCE
 
 
-def is_source_point(t: CoeffTriple) -> SourceVerdict:
-    """Whether t has no predecessor, decided purely by residue tests.
+def is_source_point(t: CoeffTriple) -> SourceReason:
+    """Why t has or lacks a predecessor, decided purely by residue tests.
 
     A predecessor exists only for triples that are all even with
     c = 0 (mod 4) and d = 0 (mod 8), or all odd with -2b+c = 1 (mod 4)
-    and b-c+d = 1 (mod 8). Everything else is a source point. This is
+    and b-c+d = 1 (mod 8). Everything else is a source point, and the
+    reason names the test it fails (NOT_SOURCE: it fails none). This is
     deliberately independent of the division-based inverse so the two
     can cross-check each other.
     """
     b, c, d = t.b, t.c, t.d
     pb, pc, pd = b & 1, c & 1, d & 1
     if not (pb == pc == pd):
-        return SourceVerdict(True, SourceReason.MIXED_PARITY)
+        return SourceReason.MIXED_PARITY
     if pb == 0:
         if c % 4 != 0 or d % 8 != 0:
-            return SourceVerdict(True, SourceReason.EVEN_RESIDUE)
+            return SourceReason.EVEN_RESIDUE
     else:
         if (-2 * b + c) % 4 != 1 or (b - c + d) % 8 != 1:
-            return SourceVerdict(True, SourceReason.ODD_RESIDUE)
-    return SourceVerdict(False, SourceReason.NOT_SOURCE)
+            return SourceReason.ODD_RESIDUE
+    return SourceReason.NOT_SOURCE
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,10 @@ class SeedSet:
     b: int
     c: int
     members: Tuple[CoeffTriple, ...]
-    excluded: Tuple[Tuple[int, int, int], ...]  # always (): see build_seed_set
-    parity_rule: bool  # b, c of opposite parity: guarantees all-source members
+
+    @property
+    def parity_rule(self) -> bool:  # b, c of opposite parity: all sources
+        return (self.b + self.c) % 2 == 1
 
     def __len__(self) -> int:
         return len(self.members)
@@ -98,7 +99,7 @@ def build_seed_set(b: int, c: int) -> SeedSet:
     """All (b, c, d) with d in {-1, ..., -(b+c)}, d descending.
 
     With b^2 <= 3c every one is admissible (d < 0, 1 + b + c + d >= 1),
-    so none is excluded and the excluded field is always empty.
+    so none is excluded.
     """
     if c < 1:
         raise InvalidShape(f"c must be a positive integer, got {c}")
@@ -107,7 +108,7 @@ def build_seed_set(b: int, c: int) -> SeedSet:
     if b + c < 1:
         raise InvalidShape(f"b + c = {b + c} < 1 leaves no d values")
     members = tuple(validate_triple(b, c, d) for d in range(-1, -b - c - 1, -1))
-    return SeedSet(b, c, members, (), (b + c) % 2 == 1)
+    return SeedSet(b, c, members)
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,6 @@ class GapEntry:
 class GapReport:
     gaps: Tuple[GapEntry, ...]
     max_deviation: Fraction  # max over gaps of |delta * c - 1|, certified
-
-    def max_deviation_float(self) -> float:
-        return float(self.max_deviation)
 
 
 def gap_report(s: SeedSet, precision: int) -> GapReport:
@@ -217,11 +215,6 @@ def merger_audit(s: SeedSet, horizon: int) -> MergerAudit:
                        MergerCollision(j, 0, i, k, t.as_tuple()))
 
 
-class PairVerdict(Enum):
-    DISTINCT = "distinct"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class KernelInfo:
     discriminant: int
@@ -230,16 +223,21 @@ class KernelInfo:
 
 @dataclass(frozen=True)
 class DistinctnessReport:
+    """One kernel per member; the pair verdicts are derived from them."""
+
     factor_bound: int
     kernels: Tuple[KernelInfo, ...]
-    pairs: Tuple[Tuple[int, int, PairVerdict], ...]  # member indices i < j
 
     @property
     def all_distinct(self) -> bool:
-        return all(v is PairVerdict.DISTINCT for _, _, v in self.pairs)
+        ks = [k.kernel for k in self.kernels]
+        return None not in ks and len(set(ks)) == len(ks)
 
     def unknown_pairs(self) -> List[Tuple[int, int]]:
-        return [(i, j) for i, j, v in self.pairs if v is PairVerdict.UNKNOWN]
+        ks = [k.kernel for k in self.kernels]
+        return [(i, j) for i, ki in enumerate(ks)
+                for j in range(i + 1, len(ks))
+                if ki is None or ks[j] is None or ki == ks[j]]
 
 
 def _squarefree_kernel(n: int, bound: int) -> Optional[int]:
@@ -276,25 +274,16 @@ def _squarefree_kernel(n: int, bound: int) -> Optional[int]:
 
 
 def field_distinctness_check(s: SeedSet, factor_bound: int) -> DistinctnessReport:
-    """Pairwise necessary-condition check that members sit in distinct fields.
+    """Necessary-condition check that members sit in distinct fields.
 
     Members whose defining cubics have different certified squarefree
     discriminant kernels must generate different cubic fields. Equal or
-    uncertified kernels stay Unknown; this can never assert field equality.
+    uncertified kernels leave a pair unknown; this can never assert field
+    equality.
     """
     if factor_bound < 2:
         raise ValueError("factor_bound must be at least 2")
-    kernels = []
-    for m in s.members:
-        disc = m.discriminant
-        kernels.append(KernelInfo(disc, _squarefree_kernel(disc, factor_bound)))
-    pairs = []
-    for i in range(len(kernels)):
-        for j in range(i + 1, len(kernels)):
-            ki, kj = kernels[i].kernel, kernels[j].kernel
-            if ki is not None and kj is not None and ki != kj:
-                verdict = PairVerdict.DISTINCT
-            else:
-                verdict = PairVerdict.UNKNOWN
-            pairs.append((i, j, verdict))
-    return DistinctnessReport(factor_bound, tuple(kernels), tuple(pairs))
+    return DistinctnessReport(factor_bound, tuple(
+        KernelInfo(m.discriminant,
+                   _squarefree_kernel(m.discriminant, factor_bound))
+        for m in s.members))

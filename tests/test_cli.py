@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cubicorbit import (BitStream, MT19937, ConditionViolation, OrbitState,
-                        generate_bits, validate_triple)
-from cubicorbit import cli
-from cubicorbit.bitstream import read_words_le, write_words_le
+                        OutputFormat, generate_bits, jump, validate_triple)
+from cubicorbit import cli, orbit, roots
+from cubicorbit.bitstream import read_bits, read_words_le, write_words_le
 from cubicorbit.cli import main
 
 
@@ -209,6 +209,38 @@ class TestGenerate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not ck.exists()
 
+    @pytest.mark.parametrize("given, named", [
+        (["--jobs", "4"], "--jobs"),
+        (["--drop-prefix-bits", "0"], "--drop-prefix-bits"),
+        (["--jobs", "1", "--drop-prefix-bits", "7", "--per-seed-bits", "5"],
+         "--per-seed-bits, --drop-prefix-bits, --jobs")],
+        ids=["jobs", "drop-0", "all-three"])
+    def test_single_stream_rejects_seed_set_options(self, tmp_path, capsys,
+                                                    monkeypatch, given, named):
+        monkeypatch.setattr(cli, "generate_bits", None)  # no work may start
+        out_file, ck = tmp_path / "f.raw", tmp_path / "ck.txt"
+        code, out, err = run_cli(capsys, "generate", "--b", "0", "--c", "1",
+                                 "--d", "-1", "--bits", "8", *given,
+                                 "--checkpoint", str(ck), "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: generate: only --seed-set takes {named}\n"
+        assert not out_file.exists() and not ck.exists()
+
+    def test_csv_and_json_formats(self, tmp_path, capsys):
+        src = ["generate", "--b", "0", "--c", "1", "--d", "-1", "--bits", "8"]
+        csv_file, json_file = tmp_path / "b.csv", tmp_path / "b.json"
+        assert run_cli(capsys, *src, "--format", "csv",
+                       "--out", str(csv_file))[0] == 0
+        assert run_cli(capsys, *src, "--format", "json",
+                       "--out", str(json_file))[0] == 0
+        assert csv_file.read_text() == \
+            "n,bit\n0,1\n1,0\n2,1\n3,0\n4,1\n5,1\n6,1\n7,0\n"
+        assert json_file.read_text() == '{"length": 8, "bits": "10101110"}'
+        assert read_bits(json_file, OutputFormat.JSON).to01() == "10101110"
+        with pytest.raises(ValueError):
+            read_bits(csv_file, OutputFormat.CSV)
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_seed_set_needs_a_worker(self, tmp_path, capsys, monkeypatch, jobs):
         monkeypatch.setattr(cli, "build_seed_set", None)  # no work may start
@@ -237,12 +269,39 @@ class TestVerify:
     def test_corrupt_state_is_usage_error(self, monkeypatch, capsys):
         def corrupt(t, k):
             raise ConditionViolation("ii", 0, 1, 1)
-        monkeypatch.setattr(cli, "isolate_root_bits", corrupt)
+        monkeypatch.setattr(cli, "generate_bits", corrupt)
         code, out, err = run_cli(capsys, "verify", "--b", "0", "--c", "1",
                                  "--d", "-1", "--bits", "16")
         assert code == 2
         assert out == ""
         assert err == "error: condition (ii) fails for (b,c,d)=(0,1,1)\n"
+
+    def test_wrong_bit_fails_with_first_mismatch(self, monkeypatch, capsys):
+        def flipped(t, n):
+            bits, state = generate_bits(t, n)
+            raw = bits.bits.copy()
+            raw[5] ^= 1
+            return BitStream(raw), state
+        monkeypatch.setattr(cli, "generate_bits", flipped)
+        code, out, err = run_cli(capsys, "verify", "--b", "0", "--c", "1",
+                                 "--d", "-1", "--bits", "16")
+        assert code == 1
+        assert out == "fail: first mismatch at bit 5\n"
+        assert err == ""
+
+    def test_pass_runs_the_jump_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(t, n):
+            calls.append(n)
+            return jump(t, n)
+        monkeypatch.setattr(orbit, "jump", counted)
+        monkeypatch.setattr(roots, "jump", counted)
+        code, out, _ = run_cli(capsys, "verify", "--b", "0", "--c", "1",
+                               "--d", "-1", "--bits", "512")
+        assert code == 0
+        assert out == "pass: 512 bits of (0,1,-1) match the root expansion\n"
+        assert calls == [512]
 
     @pytest.mark.parametrize("bits", ["0", "-3"])
     def test_bits_below_one_is_usage_error(self, monkeypatch, capsys, bits):

@@ -5,8 +5,8 @@ import pytest
 
 from cubicorbit import (BitStream, ConditionViolation, OrbitState,
                         generate_bits, inverse_step, isolate_root_bits,
-                        pack_words, step, validate_triple)
-from conftest import random_triple
+                        step, validate_triple)
+from conftest import bisect_prefix, random_triple
 
 
 class TestValidate:
@@ -140,6 +140,7 @@ class TestGenerate:
             bits, _ = generate_bits(t, k)
             expansion, interval = isolate_root_bits(t, k)
             assert bits.to01() == expansion
+            assert int(bits.to01(), 2) == bisect_prefix(t, k)  # no jump
             assert interval.width().denominator == 1 << k
 
     def test_negative_count_rejected(self):
@@ -170,20 +171,20 @@ class TestStateSerialization:
 
 class TestPackWords:
     def test_all_ones_word(self):
-        res = pack_words([1] * 32)
+        res = BitStream([1] * 32).pack_words()
         assert list(res.words) == [0xFFFFFFFF]
         assert res.dropped_bits == 0
 
     def test_lsb_word(self):
-        res = pack_words([0] * 31 + [1])
+        res = BitStream([0] * 31 + [1]).pack_words()
         assert list(res.words) == [1]
 
     def test_msb_first_prefix(self):
-        res = pack_words(BitStream.from01("10101110" + "0" * 24))
+        res = BitStream.from01("10101110" + "0" * 24).pack_words()
         assert list(res.words) == [0xAE000000]
 
     def test_remainder_dropped_and_counted(self):
-        res = pack_words([1] * 70)
+        res = BitStream([1] * 70).pack_words()
         assert len(res.words) == 2
         assert res.dropped_bits == 6
 

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cubicorbit import (InvalidShape, MergerCollision, PairVerdict,
-                        PrecisionTooLow, SeedSet, SourceReason, build_seed_set,
+from cubicorbit import (DistinctnessReport, InvalidShape, KernelInfo,
+                        MergerCollision, PrecisionTooLow, SeedSet,
+                        SourceReason, build_seed_set,
                         field_distinctness_check, gap_report, inverse_step,
                         is_source_point, merger_audit, seeds, step,
                         validate_triple)
@@ -12,8 +13,7 @@ from conftest import merger_audit_all_states, random_triple
 
 
 def _family(*members):
-    return SeedSet(b=0, c=1, members=tuple(members), excluded=(),
-                   parity_rule=False)
+    return SeedSet(b=0, c=1, members=tuple(members))
 
 
 def _chain(t, n):
@@ -27,20 +27,20 @@ def _chain(t, n):
 class TestSourcePoints:
     def test_mixed_parity_source(self):
         v = is_source_point(validate_triple(0, 1, -1))
-        assert v.is_source and v.reason is SourceReason.MIXED_PARITY
+        assert v.is_source and v is SourceReason.MIXED_PARITY
 
     def test_known_non_source(self):
         v = is_source_point(validate_triple(0, 8, -8))
-        assert not v.is_source and v.reason is SourceReason.NOT_SOURCE
+        assert not v.is_source and v is SourceReason.NOT_SOURCE
 
     def test_odd_residue_source(self):
         # all odd, -2b + c = -1 = 3 (mod 4)
         v = is_source_point(validate_triple(1, 1, -1))
-        assert v.is_source and v.reason is SourceReason.ODD_RESIDUE
+        assert v.is_source and v is SourceReason.ODD_RESIDUE
 
     def test_even_residue_source(self):
         v = is_source_point(validate_triple(0, 2, -2))
-        assert v.is_source and v.reason is SourceReason.EVEN_RESIDUE
+        assert v.is_source and v is SourceReason.EVEN_RESIDUE
 
     def test_agrees_with_inverse_over_exhaustive_box(self):
         # residue classification and division-based inversion are
@@ -98,7 +98,6 @@ class TestBuildSeedSet:
                     fam = build_seed_set(b, c)
                     assert len(fam) == b + c
                     assert [m.d for m in fam] == list(range(-1, -b - c - 1, -1))
-                    assert fam.excluded == ()
 
     def test_invalid_shape(self):
         with pytest.raises(InvalidShape):
@@ -147,8 +146,7 @@ class TestGapReport:
         fam = SeedSet(
             b=0, c=huge_c,
             members=(validate_triple(0, huge_c, -1),
-                     validate_triple(0, huge_c, -2)),
-            excluded=(), parity_rule=False)
+                     validate_triple(0, huge_c, -2)))
         with pytest.raises(PrecisionTooLow):
             gap_report(fam, 32)  # gaps near 2^-40, enclosures only 2^-32
 
@@ -161,8 +159,7 @@ class TestMergerAudit:
     def test_constructed_overlap_fails_at_offset_one(self):
         t = validate_triple(0, 1, -1)
         successor, _ = step(t)
-        fam = SeedSet(b=0, c=1, members=(t, successor), excluded=(),
-                      parity_rule=True)
+        fam = SeedSet(b=0, c=1, members=(t, successor))
         audit = merger_audit(fam, 5)
         assert not audit.passed
         col = audit.collision
@@ -262,16 +259,16 @@ class TestFieldDistinctness:
 
     def test_two_distinct_members(self):
         fam = SeedSet(b=0, c=0, members=(validate_triple(0, 1, -1),
-                                         validate_triple(0, 2, -1)),
-                      excluded=(), parity_rule=False)
+                                         validate_triple(0, 2, -1)))
         rep = field_distinctness_check(fam, 100)
-        assert rep.pairs == ((0, 1, PairVerdict.DISTINCT),)
+        assert rep.all_distinct
+        assert rep.unknown_pairs() == []
 
     def test_identical_members_unknown(self):
         t = validate_triple(0, 1, -1)
-        fam = SeedSet(b=0, c=1, members=(t, t), excluded=(), parity_rule=True)
+        fam = SeedSet(b=0, c=1, members=(t, t))
         rep = field_distinctness_check(fam, 100)
-        assert rep.pairs[0][2] is PairVerdict.UNKNOWN
+        assert not rep.all_distinct
         assert rep.unknown_pairs() == [(0, 1)]
 
     def test_family_0_5_all_distinct(self):
@@ -286,6 +283,16 @@ class TestFieldDistinctness:
         fam = build_seed_set(0, 5)
         rep = field_distinctness_check(fam, 2)
         assert not rep.all_distinct
+        assert rep.unknown_pairs() == [(i, j) for i in range(5)
+                                       for j in range(i + 1, 5)]
+
+    def test_pair_verdicts_follow_the_kernels(self):
+        # kernels 5, ?, 5, 7: only (0, 3) and (2, 3) are certified distinct
+        rep = DistinctnessReport(100, tuple(KernelInfo(0, k)
+                                            for k in (5, None, 5, 7)))
+        assert rep.unknown_pairs() == [(0, 1), (0, 2), (1, 2), (1, 3)]
+        assert not rep.all_distinct
+        assert DistinctnessReport(100, rep.kernels[2:]).all_distinct
 
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):
