@@ -135,6 +135,9 @@ def write_bits(path, s: BitStream, fmt: OutputFormat) -> None:
         with open(path, "w") as fh:
             fh.write(s.to01())
     elif fmt is OutputFormat.WORDS32_LE:
+        if len(s) % 32:  # pack_words would drop the tail in silence
+            raise ValueError(f"words32le writes whole 32-bit words, but "
+                             f"{len(s)} bits is not a multiple of 32")
         write_words_le(path, s.pack_words().words)
     elif fmt is OutputFormat.CSV:
         with open(path, "w") as fh:

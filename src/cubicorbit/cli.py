@@ -56,6 +56,12 @@ def _worker_generate(job) -> bytes:
     return bits.bits[drop:].tobytes()
 
 
+def _reject_given(args, mode: str, keys: Sequence[str]) -> None:
+    given = [k for k in keys if getattr(args, k) is not None]
+    if given:
+        raise ValueError(f"generate: {mode} does not take --" + ", --".join(given))
+
+
 def _check_whole_words(fmt: OutputFormat, n_bits: int) -> None:
     """Whole words only: a padded last word would hold uncertified bits."""
     if fmt is OutputFormat.WORDS32_LE and n_bits % 32:
@@ -78,11 +84,8 @@ def cmd_generate(args) -> int:
             for k, default in _FAMILY_DEFAULTS.items())
         if n_jobs < 1:
             raise ValueError("generate: --jobs must be at least 1")
-        given = [k for k in ("b", "c", "d", "bits", "resume", "checkpoint")
-                 if getattr(args, k) is not None]
-        if given:
-            raise ValueError("generate: --seed-set does not take --"
-                             + ", --".join(given))
+        _reject_given(args, "--seed-set",
+                      ("b", "c", "d", "bits", "resume", "checkpoint"))
         try:
             b_str, c_str = args.seed_set.split(",")
             b_val, c_val = int(b_str), int(c_str)
@@ -110,6 +113,7 @@ def cmd_generate(args) -> int:
             raise ValueError("generate: --bits must be at least 1")
         _check_whole_words(fmt, args.bits)
         if args.resume:
+            _reject_given(args, "--resume", ("b", "c", "d"))
             with open(args.resume) as fh:
                 state: OrbitState | CoeffTriple = OrbitState.from_text(fh.read())
         else:
@@ -146,7 +150,10 @@ def cmd_verify(args) -> int:
 
 def cmd_seeds(args) -> int:
     # the audits' own range checks, made before any of them runs
-    if args.gaps and args.precision < 32:
+    if args.precision is not None and not args.gaps:
+        raise ValueError("seeds: --precision needs --gaps")
+    precision = 64 if args.precision is None else args.precision
+    if precision < 32:
         raise ValueError("precision must be at least 32 bits")
     if args.audit_mergers is not None and args.audit_mergers < 1:
         raise ValueError("horizon must be at least 1")
@@ -168,9 +175,9 @@ def cmd_seeds(args) -> int:
     }
     failed = False
     if args.gaps:
-        rep = gap_report(fam, args.precision)
+        rep = gap_report(fam, precision)
         payload["gaps"] = {
-            "precision": args.precision,
+            "precision": precision,
             "count": len(rep.gaps),
             "max_deviation": float(rep.max_deviation),
             "entries": [{"d": g.d, "delta": float(g.delta)} for g in rep.gaps],
@@ -205,11 +212,13 @@ def cmd_seeds(args) -> int:
 
 
 def _load_scan_words(args) -> np.ndarray:
-    if args.source == "mt":
-        return MT19937(args.seed).generate(args.count)
-    if not getattr(args, "infile", None):
-        raise ValueError("mt scan: --source file requires --in")
-    return read_words_le(args.infile)
+    if args.source == "file":
+        if not args.infile:
+            raise ValueError("mt scan: --source file requires --in")
+        return read_words_le(args.infile)
+    if args.infile:
+        raise ValueError("mt scan: --in needs --source file")
+    return MT19937(args.seed).generate(args.count)
 
 
 def cmd_mt(args) -> int:
@@ -250,6 +259,8 @@ def cmd_mt(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if not 0 < args.alpha < 1:  # false for NaN too
+        raise ValueError("stats: --alpha must be between 0 and 1")
     fmt = OutputFormat(args.format)
     bits = read_bits(args.infile, fmt)
     result = run_suite(bits, alpha=args.alpha)
@@ -296,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--gaps", action="store_true", help="include the gap report")
-    p.add_argument("--precision", type=int, default=64,
-                   help="root enclosure precision in bits")
+    p.add_argument("--precision", type=int,
+                   help="--gaps root enclosure precision in bits (default 64)")
     p.add_argument("--audit-mergers", type=int, metavar="H",
                    help="check that no two member orbits merge "
                         "within H steps")

@@ -8,7 +8,7 @@ row-wise, row 1 first, each row an int under the same convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -56,16 +56,21 @@ class Gf2Matrix32:
         return cls(tuple(rows))
 
     @classmethod
-    def from_function(cls, fn: Callable[[int], int]) -> "Gf2Matrix32":
-        """Matrix of a linear map on 32-bit words, probed on basis vectors."""
-        cols = [fn(1 << (WORD_BITS - 1 - j)) & WORD_MASK for j in range(WORD_BITS)]
+    def from_columns(cls, columns: Sequence[int]) -> "Gf2Matrix32":
+        """Matrix from its 32 columns, column 1 first, as 32-bit ints."""
         rows = []
         for i in range(WORD_BITS):
             r = 0
-            for j in range(WORD_BITS):
-                r = (r << 1) | ((cols[j] >> (WORD_BITS - 1 - i)) & 1)
+            for col in columns:
+                r = (r << 1) | ((col >> (WORD_BITS - 1 - i)) & 1)
             rows.append(r)
         return cls(tuple(rows))
+
+    @classmethod
+    def from_function(cls, fn: Callable[[int], int]) -> "Gf2Matrix32":
+        """Matrix of a linear map on 32-bit words, probed on basis vectors."""
+        return cls.from_columns([fn(1 << (WORD_BITS - 1 - j)) & WORD_MASK
+                                 for j in range(WORD_BITS)])
 
 
 def solve_linear_system(

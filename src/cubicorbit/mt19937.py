@@ -1,4 +1,4 @@
-"""MT19937 reference generator and its tempered-output lag structure.
+"""MT19937, as numpy's legacy stream, and its tempered-output lag structure.
 
 The tempered 32-bit outputs y_n of MT19937 satisfy a fixed linear
 recurrence over GF(2),
@@ -20,6 +20,7 @@ without this linear structure does not show.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -29,57 +30,23 @@ import numpy as np
 from .gf2 import Gf2Matrix32, solve_linear_system
 
 N = 624
-M = 397
-MATRIX_A = 0x9908B0DF
-UPPER_MASK = 0x80000000
-LOWER_MASK = 0x7FFFFFFF
 MASK32 = 0xFFFFFFFF
 DEFAULT_SEED = 5489
-LAG = 227  # N - M, the tempered-output coincidence lag
-
-
-# The twist rewrites word i from words i + 1 and i + M (mod N). Over these
-# chunks every word a chunk reads is either not yet rewritten or was
-# rewritten by an earlier chunk, so each chunk is one slice update in the
-# same order as the word-at-a-time loop.
-_TWIST_CHUNKS = ((0, N - M), (N - M, 2 * (N - M)), (2 * (N - M), N - 1),
-                 (N - 1, N))
+LAG = 227  # N - M with M = 397, the tempered-output coincidence lag
 
 
 class MT19937:
-    """Bit-exact MT19937 with the standard multiplier-based seeding."""
+    """MT19937 as numpy's legacy RandomState runs it (NEP 19 freezes that
+    stream). Seeds are ints in [0, 2^32); None does not draw OS entropy."""
 
     def __init__(self, seed: int = DEFAULT_SEED):
-        mt = [0] * N
-        mt[0] = seed & MASK32
-        for i in range(1, N):
-            mt[i] = (1812433253 * (mt[i - 1] ^ (mt[i - 1] >> 30)) + i) & MASK32
-        self._mt = np.array(mt, dtype=np.uint32)
-        self._index = N
-
-    def _twist(self) -> None:
-        mt = self._mt
-        for lo, hi in _TWIST_CHUNKS:
-            nxt = mt[lo + 1:hi + 1] if hi < N else mt[:1]
-            y = (mt[lo:hi] & UPPER_MASK) | (nxt & LOWER_MASK)
-            src = (lo + M) % N
-            mt[lo:hi] = mt[src:src + hi - lo] ^ (y >> 1) ^ ((y & 1) * MATRIX_A)
-        self._index = 0
+        self._rs = np.random.RandomState(operator.index(seed))
 
     def generate(self, count: int) -> np.ndarray:
         """The next `count` outputs as a uint32 array."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        raw = np.empty(count, dtype=np.uint32)
-        filled = 0
-        while filled < count:
-            if self._index >= N:
-                self._twist()
-            take = min(N - self._index, count - filled)
-            raw[filled:filled + take] = self._mt[self._index:self._index + take]
-            self._index += take
-            filled += take
-        return temper(raw)
+        return self._rs.randint(0, 1 << 32, size=count, dtype=np.uint32)
 
 
 def temper(y):
@@ -133,12 +100,14 @@ def load_recurrence_matrices() -> Tuple[Gf2Matrix32, Gf2Matrix32]:
 
 
 def _as_words(outputs: Sequence[int] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(outputs, dtype=np.uint64) if not isinstance(outputs, np.ndarray) \
-        else outputs.astype(np.uint64, copy=False)
+    """At least N + 1 32-bit words as a uint32 array."""
+    arr = np.asarray(outputs, dtype=np.uint64)
     if arr.ndim != 1:
         raise ValueError("outputs must be one-dimensional")
     if arr.size and arr.max() > MASK32:
         raise ValueError("outputs must be 32-bit words")
+    if arr.size < N + 1:
+        raise ValueError(f"need at least {N + 1} outputs, got {arr.size}")
     return arr.astype(np.uint32)
 
 
@@ -162,8 +131,6 @@ def verify_recurrence(outputs: Sequence[int] | np.ndarray,
                       a: Gf2Matrix32, b: Gf2Matrix32) -> RecurrenceCheck:
     """Check y_n = y_{n-227} ^ A y_{n-623} ^ B y_{n-624} for all n >= 624."""
     ys = _as_words(outputs)
-    if ys.size < N + 1:
-        raise ValueError(f"need at least {N + 1} outputs, got {ys.size}")
     L = ys.size
     predicted = ys[N - LAG:L - LAG] ^ _matvec_bulk(a, ys[1:L - N + 1]) \
         ^ _matvec_bulk(b, ys[:L - N])
@@ -198,15 +165,8 @@ def recover_matrices(outputs: Sequence[int] | np.ndarray
     sols = solve_linear_system(equations(), 64, 32)
     if sols is None:
         raise RankDeficient("output sample spans a rank-deficient system")
-    a_rows, b_rows = [], []
-    for i in range(32):
-        ra = rb = 0
-        for k in range(32):
-            ra = (ra << 1) | ((sols[k] >> (31 - i)) & 1)
-            rb = (rb << 1) | ((sols[32 + k] >> (31 - i)) & 1)
-        a_rows.append(ra)
-        b_rows.append(rb)
-    return Gf2Matrix32(tuple(a_rows)), Gf2Matrix32(tuple(b_rows))
+    # sols[k] packs column k + 1 of A, and sols[32 + k] that of B
+    return Gf2Matrix32.from_columns(sols[:32]), Gf2Matrix32.from_columns(sols[32:])
 
 
 @dataclass(frozen=True)
@@ -228,8 +188,6 @@ def scan_conditions_ab(outputs: Sequence[int] | np.ndarray,
     to the top byte.
     """
     ys = _as_words(outputs)
-    if ys.size < N + 1:
-        raise ValueError(f"need at least {N + 1} outputs, got {ys.size}")
     L = ys.size
     lag623 = ys[1:L - N + 1]
     lag624 = ys[:L - N]

@@ -222,13 +222,13 @@ def jump(t: CoeffTriple, n: int) -> Tuple[int, CoeffTriple]:
         b1, c1, d1 = _shift(b, c, d, x, k)
         for _ in range(_MAX_CORRECTIONS):
             if d1 >= 0:                    # f(x / 2^k) >= 0: x too large
-                x -= 1
-                b1, c1, d1 = b1 - 3, c1 - 2 * b1 + 3, d1 - c1 + b1 - 1
+                e = -1
             elif 1 + b1 + c1 + d1 <= 0:    # f((x + 1) / 2^k) <= 0: too small
-                x += 1
-                b1, c1, d1 = b1 + 3, c1 + 2 * b1 + 3, 1 + b1 + c1 + d1
+                e = 1
             else:
                 break
+            x += e
+            b1, c1, d1 = _shift(b1, c1, d1, e, 0)
         else:  # out of corrections: raises ConditionViolation unless certified
             CoeffTriple(int(b1), int(c1), int(d1))
         m = (m << k) | x

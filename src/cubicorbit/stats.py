@@ -24,7 +24,7 @@ overlapping windows and fold it to the shorter pattern lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Sequence, Union
 
 import numpy as np
@@ -49,14 +49,7 @@ class TestReport:
     parameters: Dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "passed": self.passed,
-            "alpha": self.alpha,
-            "parameters": dict(self.parameters),
-        }
+        return asdict(self)
 
 
 def _report(name: str, statistic: float, p_value: float, alpha: float,

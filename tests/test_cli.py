@@ -72,6 +72,24 @@ class TestGenerate:
         whole, _ = generate_bits(validate_triple(3, 7, -3), 160)
         assert first.read_text() + second.read_text() == whole.to01()
 
+    @pytest.mark.parametrize("given, named", [
+        (["--b", "5", "--c", "9", "--d", "-2"], "--b, --c, --d"),
+        (["--c", "9"], "--c")], ids=["triple", "c"])
+    def test_resume_rejects_triple_options(self, tmp_path, capsys,
+                                           monkeypatch, given, named):
+        ck = tmp_path / "ck.txt"
+        ck.write_text(OrbitState(validate_triple(0, 1, -1), 8).to_text())
+        monkeypatch.setattr(cli, "generate_bits", None)  # no work may start
+        out_file, ck2 = tmp_path / "bits.txt", tmp_path / "ck2.txt"
+        for where in (["--format", "ascii"],
+                      ["--out", str(out_file), "--checkpoint", str(ck2)]):
+            code, out, err = run_cli(capsys, "generate", "--resume", str(ck),
+                                     *given, "--bits", "8", *where)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: generate: --resume does not take {named}\n"
+        assert not out_file.exists() and not ck2.exists()
+
     def test_tampered_checkpoint_diverges_with_first_mismatch(self, tmp_path, capsys):
         ck = tmp_path / "state.txt"
         run_cli(capsys, "generate", "--b", "0", "--c", "1", "--d", "-1",
@@ -365,6 +383,20 @@ class TestSeeds:
             assert out == ""
             assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("precision", ["10", "64"])
+    def test_precision_needs_gaps(self, capsys, monkeypatch, precision):
+        monkeypatch.setattr(cli, "build_seed_set", None)  # no work may start
+        code, out, err = run_cli(capsys, "seeds", "--b", "0", "--c", "5",
+                                 "--precision", precision)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seeds: --precision needs --gaps\n"
+
+    def test_gaps_precision_defaults_to_64(self, capsys):
+        code, out, _ = run_cli(capsys, "seeds", "--b", "0", "--c", "5", "--gaps")
+        assert code == 0
+        assert json.loads(out)["gaps"]["precision"] == 64
+
     def test_distinctness_summary(self, capsys):
         code, out, _ = run_cli(capsys, "seeds", "--b", "0", "--c", "5",
                                "--distinctness", "1000")
@@ -431,6 +463,28 @@ class TestMt:
         assert code == 0
         assert out.startswith("n,y_lag,y_n")
 
+    @pytest.mark.parametrize("seed", ["-1", "4294967296"])
+    def test_gen_seed_outside_32_bits_is_usage_error(self, tmp_path, capsys,
+                                                     seed):
+        out = tmp_path / "mt.bin"
+        code, stdout, err = run_cli(capsys, "mt", "gen", "--seed", seed,
+                                    "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_scan_in_needs_file_source(self, tmp_path, capsys, monkeypatch):
+        words_path, csv_path = tmp_path / "w.bin", tmp_path / "scan.csv"
+        write_words_le(words_path, MT19937(7).generate(1000))
+        monkeypatch.setattr(cli, "MT19937", None)  # no work may start
+        code, out, err = run_cli(capsys, "mt", "scan", "--in", str(words_path),
+                                 "--out", str(csv_path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: mt scan: --in needs --source file\n"
+        assert not csv_path.exists()
+
     def test_scan_file_requires_in(self, capsys):
         code, _, err = run_cli(capsys, "mt", "scan", "--source", "file")
         assert code == 2
@@ -442,6 +496,18 @@ class TestStats:
         code, _, err = run_cli(capsys, "stats", "--in", "/nonexistent.bin")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("alpha", ["-1", "0", "1", "1.5", "nan"])
+    def test_alpha_outside_unit_interval_is_usage_error(self, tmp_path, capsys,
+                                                        monkeypatch, alpha):
+        path = tmp_path / "zeros.raw"
+        path.write_bytes(bytes(12500))
+        monkeypatch.setattr(cli, "read_bits", None)  # no work may start
+        code, out, err = run_cli(capsys, "stats", "--in", str(path),
+                                 "--alpha", alpha)
+        assert code == 2
+        assert out == ""
+        assert err == "error: stats: --alpha must be between 0 and 1\n"
 
     def test_all_zeros_fails(self, tmp_path, capsys):
         path = tmp_path / "zeros.raw"

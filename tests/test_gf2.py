@@ -48,6 +48,15 @@ class TestMatrix:
         rebuilt = Gf2Matrix32.from_function(m.mul)
         assert rebuilt == m
 
+    def test_from_columns_transposes(self):
+        rng = random.Random(6)
+        m = random_matrix(rng)
+        t = Gf2Matrix32.from_columns(m.rows)  # rows of m as columns
+        for i in range(1, 33):
+            for j in range(1, 33):
+                assert (t.row(i) >> (32 - j)) & 1 == (m.row(j) >> (32 - i)) & 1
+        assert Gf2Matrix32.from_columns(t.rows) == m
+
 
 class TestSolver:
     def test_recovers_random_matrix_pair(self):

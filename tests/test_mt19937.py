@@ -15,14 +15,15 @@ KNOWN_FIRST = [3499211612, 581869302, 3890346734, 3586334585, 545404204]
 
 
 def reference_words(seed: int, count: int) -> np.ndarray:
-    """Independent oracle: numpy's legacy generator is the same algorithm
-    with the same integer seeding."""
+    """numpy's legacy stream, drawn directly. MT19937 runs on the same
+    generator, so this pins the draw call, not the algorithm: ScalarMT and
+    KNOWN_FIRST are the independent references."""
     return np.random.RandomState(seed).randint(0, 2**32, size=count,
                                                dtype=np.uint32)
 
 
 class ScalarMT:
-    """The word-at-a-time MT19937 twist, a reference for the sliced one."""
+    """The word-at-a-time MT19937 seeding and twist, written out in full."""
 
     def __init__(self, seed: int):
         self.mt = [seed & 0xFFFFFFFF]
@@ -63,6 +64,18 @@ class TestGenerator:
         words = MT19937(DEFAULT_SEED).generate(count)
         assert words.dtype == np.uint32
         assert words.tolist() == [ref.next_u32() for _ in range(count)]
+
+    @pytest.mark.parametrize("seed", [0, 0xFFFFFFFF])
+    def test_seed_range_ends_equal_word_loop(self, seed):
+        ref = ScalarMT(seed)
+        words = MT19937(seed).generate(1249)
+        assert words.tolist() == [ref.next_u32() for _ in range(1249)]
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 32])
+    def test_seed_outside_32_bits_rejected(self, seed):
+        # these used to alias to seeds 2^32 - 1 and 0
+        with pytest.raises(ValueError):
+            MT19937(seed)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):

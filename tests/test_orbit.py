@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cubicorbit import (BitStream, ConditionViolation, OrbitState,
-                        generate_bits, inverse_step, isolate_root_bits,
-                        step, validate_triple)
+                        OutputFormat, generate_bits, inverse_step,
+                        isolate_root_bits, step, validate_triple)
+from cubicorbit.bitstream import write_bits
 from conftest import bisect_prefix, random_triple
 
 
@@ -193,6 +194,13 @@ class TestPackWords:
         bits = BitStream(rng.integers(0, 2, size=320, dtype=np.uint8))
         res = bits.pack_words()
         assert BitStream.from_words(res.words) == bits
+
+    @pytest.mark.parametrize("n_bits", [31, 33, 70])
+    def test_word_file_needs_whole_words(self, tmp_path, n_bits):
+        path = tmp_path / "w.bin"
+        with pytest.raises(ValueError, match=f"{n_bits} bits is not a multiple"):
+            write_bits(path, BitStream([1] * n_bits), OutputFormat.WORDS32_LE)
+        assert not path.exists()
 
 
 class TestBitStream:

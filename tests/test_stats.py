@@ -259,6 +259,15 @@ class TestReportContract:
         assert payload["alpha"] == 0.01
         assert len(payload["reports"]) == len(res.reports)
 
+    def test_report_dict_keys_in_order_and_copied(self):
+        rep = block_frequency(BitStream.from01(PI_100), 10)
+        payload = rep.to_dict()
+        assert list(payload) == ["name", "statistic", "p_value", "passed",
+                                 "alpha", "parameters"]
+        assert payload["parameters"] == {"m": 10, "blocks": 10}
+        payload["parameters"]["m"] = 3
+        assert rep.parameters["m"] == 10
+
     def test_too_short_inputs_raise(self):
         with pytest.raises(InputTooShort):
             monobit(BitStream.from01("0101"))
