@@ -1,17 +1,20 @@
 """Bit sequences with fixed packing conventions.
 
-Bits are stored as a numpy uint8 array of 0/1 values. All packing is
-MSB-first: bit k of the stream lands in bit position 7-(k%8) of byte
-k//8, and 32-bit words take their first bit as the most significant
-bit. Word files on disk are little-endian 32-bit, so the bit-to-word
-mapping is fixed before the byte order is applied.
+n bits are stored as one int, the bits read MSB-first (the m orbit.jump
+returns), and n; every format converts from it in linear time. All
+packing is MSB-first: bit k lands in bit position 7-(k%8) of byte k//8,
+and 32-bit words take their first bit as the most significant bit. Word
+files on disk are little-endian 32-bit, so the bit-to-word mapping is
+fixed before the byte order is applied.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -35,77 +38,90 @@ class PackResult:
     dropped_bits: int
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class BitStream:
-    """Immutable sequence of bits."""
+    """Immutable sequence of bits: `value` read MSB-first, `length` bits."""
 
-    __slots__ = ("bits",)
+    value: int
+    length: int
 
-    def __init__(self, bits: BitsLike):
+    def __new__(cls, bits: BitsLike):
         if isinstance(bits, BitStream):
-            arr = bits.bits
-        else:
-            arr = np.asarray(bits, dtype=np.uint8)
-            if arr is bits:  # keep our buffer private before freezing it
-                arr = arr.copy()
+            return bits
+        arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
         if arr.size and arr.max() > 1:
             raise ValueError("bit values must be 0 or 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
+        return cls.from_bytes(np.packbits(arr).tobytes(), arr.size)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("BitStream is immutable")
+    @classmethod
+    def from_int(cls, value: int, length: int) -> "BitStream":
+        """The stream of `length` bits whose MSB-first reading is `value`."""
+        if length < 0 or value < 0 or value.bit_length() > length:
+            raise ValueError("value must lie in [0, 2^length)")
+        s = object.__new__(cls)
+        s.__dict__.update(value=value, length=length)
+        return s
 
     @classmethod
     def from01(cls, text: str) -> "BitStream":
         text = text.strip()
-        if set(text) - {"0", "1"}:
+        if set(text) - {"0", "1"}:  # int(text, 2) would take "_", "0b", "+"
             raise ValueError("expected a string of 0/1 characters")
-        return cls(np.frombuffer(text.encode(), dtype=np.uint8) - ord("0"))
+        return cls.from_int(int(text, 2) if text else 0, len(text))
 
     @classmethod
     def from_bytes(cls, raw: bytes, n_bits: int | None = None) -> "BitStream":
-        """Unpack MSB-first bytes; n_bits trims padding from the last byte."""
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-        if n_bits is not None:
-            if n_bits > bits.size:
-                raise ValueError("n_bits exceeds available data")
-            bits = bits[:n_bits]
-        return cls(bits)
+        """MSB-first bytes; n_bits trims padding from the last byte."""
+        size = 8 * len(raw)
+        n_bits = size if n_bits is None else n_bits
+        if n_bits > size:
+            raise ValueError("n_bits exceeds available data")
+        return cls.from_int(int.from_bytes(raw, "big") >> (size - n_bits), n_bits)
 
     @classmethod
     def from_words(cls, words: Iterable[int]) -> "BitStream":
         arr = words if isinstance(words, np.ndarray) else list(words)
-        arr = np.asarray(arr, dtype=np.uint32)
-        return cls(np.unpackbits(arr.astype(">u4").view(np.uint8)))
+        return cls.from_bytes(np.asarray(arr, dtype=">u4").tobytes())
+
+    @functools.cached_property
+    def bits(self) -> np.ndarray:
+        """Read-only uint8 view, one 0/1 byte per bit, unpacked on first use."""
+        raw = np.frombuffer(self.to_bytes(), dtype=np.uint8)
+        arr = np.unpackbits(raw, count=self.length)
+        arr.setflags(write=False)
+        return arr
 
     def __len__(self) -> int:
-        return int(self.bits.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitStream):
-            return NotImplemented
-        return len(self) == len(other) and bool(np.array_equal(self.bits, other.bits))
+        return self.length
 
     def __getitem__(self, key) -> "BitStream | int":
-        if isinstance(key, slice):
+        n = self.length
+        r = range(n)[key]  # bounds, negative indexes and IndexError as a list
+        if isinstance(r, int):
+            return (self.value >> (n - 1 - r)) & 1
+        if r.step != 1:
             return BitStream(self.bits[key])
-        return int(self.bits[key])
+        return BitStream.from_int((self.value >> (n - r.stop)) & ((1 << len(r)) - 1),
+                                  len(r))
 
-    def __add__(self, other: "BitStream") -> "BitStream":
-        return BitStream(np.concatenate([self.bits, BitStream(other).bits]))
+    def __add__(self, other: BitsLike) -> "BitStream":
+        other = BitStream(other)
+        return BitStream.from_int((self.value << other.length) | other.value,
+                                  self.length + other.length)
 
     def __repr__(self) -> str:
         head = self.to01() if len(self) <= 64 else self.to01()[:61] + "..."
         return f"BitStream({len(self)} bits: {head})"
 
     def to01(self) -> str:
-        return (self.bits + ord("0")).tobytes().decode()
+        return format(self.value, f"0{self.length}b") if self.length else ""
 
     def to_bytes(self) -> bytes:
         """Pack MSB-first; the final byte is zero-padded on the right."""
-        return np.packbits(self.bits).tobytes()
+        n = self.length
+        return (self.value << (-n % 8)).to_bytes((n + 7) // 8, "big")
 
     def pack_words(self) -> PackResult:
         """Pack into 32-bit words, first bit to the word's MSB.
@@ -114,8 +130,7 @@ class BitStream:
         in the result.
         """
         n_words, dropped = divmod(len(self), 32)
-        usable = self.bits[: n_words * 32]
-        words = np.packbits(usable).view(">u4").astype(np.uint32)
+        words = np.frombuffer(self[:n_words * 32].to_bytes(), ">u4").astype(np.uint32)
         return PackResult(words=words, dropped_bits=int(dropped))
 
 
@@ -129,11 +144,9 @@ def read_words_le(path) -> np.ndarray:
 
 def write_bits(path, s: BitStream, fmt: OutputFormat) -> None:
     if fmt is OutputFormat.RAW_PACKED_BITS:
-        with open(path, "wb") as fh:
-            fh.write(s.to_bytes())
+        Path(path).write_bytes(s.to_bytes())
     elif fmt is OutputFormat.ASCII_BITS:
-        with open(path, "w") as fh:
-            fh.write(s.to01())
+        Path(path).write_text(s.to01())
     elif fmt is OutputFormat.WORDS32_LE:
         if len(s) % 32:  # pack_words would drop the tail in silence
             raise ValueError(f"words32le writes whole 32-bit words, but "
@@ -142,26 +155,20 @@ def write_bits(path, s: BitStream, fmt: OutputFormat) -> None:
     elif fmt is OutputFormat.CSV:
         with open(path, "w") as fh:
             fh.write("n,bit\n")
-            for i, b in enumerate(s.bits):
-                fh.write(f"{i},{b}\n")
+            fh.writelines(f"{i},{b}\n" for i, b in enumerate(s.bits))
     elif fmt is OutputFormat.JSON:
-        with open(path, "w") as fh:
-            json.dump({"length": len(s), "bits": s.to01()}, fh)
+        Path(path).write_text(json.dumps({"length": len(s), "bits": s.to01()}))
     else:  # pragma: no cover
         raise ValueError(f"unsupported format {fmt}")
 
 
 def read_bits(path, fmt: OutputFormat) -> BitStream:
     if fmt is OutputFormat.RAW_PACKED_BITS:
-        with open(path, "rb") as fh:
-            return BitStream.from_bytes(fh.read())
+        return BitStream.from_bytes(Path(path).read_bytes())
     if fmt is OutputFormat.ASCII_BITS:
-        with open(path) as fh:
-            return BitStream.from01(fh.read())
+        return BitStream.from01(Path(path).read_text())
     if fmt is OutputFormat.WORDS32_LE:
         return BitStream.from_words(read_words_le(path))
     if fmt is OutputFormat.JSON:
-        with open(path) as fh:
-            payload = json.load(fh)
-        return BitStream.from01(payload["bits"])
+        return BitStream.from01(json.loads(Path(path).read_text())["bits"])
     raise ValueError(f"cannot read bits from format {fmt}")

@@ -18,9 +18,9 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Sequence
-
-import numpy as np
+from contextlib import nullcontext
+from pathlib import Path
+from typing import Optional, Sequence, Tuple
 
 from . import __version__
 from .bitstream import (BitStream, OutputFormat, read_bits, read_words_le,
@@ -39,8 +39,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-# the options only --seed-set reads (None when not given), with defaults
+# options some modes do not read (None when not given), with their defaults
 _FAMILY_DEFAULTS = {"per_seed_bits": 1000032, "drop_prefix_bits": 32, "jobs": 1}
+_MT_DEFAULTS = {"seed": DEFAULT_SEED, "count": 10000}
 
 
 def _triple_from_args(args) -> CoeffTriple:
@@ -50,16 +51,16 @@ def _triple_from_args(args) -> CoeffTriple:
     return validate_triple(args.b, args.c, args.d)
 
 
-def _worker_generate(job) -> bytes:
+def _worker_generate(job) -> Tuple[int, int]:
     (b, c, d), n_bits, drop = job
-    bits, _ = generate_bits(validate_triple(b, c, d), n_bits)
-    return bits.bits[drop:].tobytes()
+    tail = generate_bits(validate_triple(b, c, d), n_bits)[0][drop:]
+    return tail.value, tail.length
 
 
-def _reject_given(args, mode: str, keys: Sequence[str]) -> None:
-    given = [k for k in keys if getattr(args, k) is not None]
+def _reject_given(args, message: str, keys: Sequence[str]) -> None:
+    given = [k.replace("_", "-") for k in keys if getattr(args, k) is not None]
     if given:
-        raise ValueError(f"generate: {mode} does not take --" + ", --".join(given))
+        raise ValueError(f"{message} --" + ", --".join(given))
 
 
 def _check_whole_words(fmt: OutputFormat, n_bits: int) -> None:
@@ -70,10 +71,8 @@ def _check_whole_words(fmt: OutputFormat, n_bits: int) -> None:
 
 
 def cmd_generate(args) -> int:
-    family = [k for k in _FAMILY_DEFAULTS if getattr(args, k) is not None]
-    if family and not args.seed_set:
-        raise ValueError("generate: only --seed-set takes --" + ", --".join(
-            k.replace("_", "-") for k in family))
+    if not args.seed_set:
+        _reject_given(args, "generate: only --seed-set takes", _FAMILY_DEFAULTS)
     out_path = args.out or "-"
     fmt = OutputFormat(args.format)
     if out_path == "-" and fmt is not OutputFormat.ASCII_BITS:
@@ -84,11 +83,10 @@ def cmd_generate(args) -> int:
             for k, default in _FAMILY_DEFAULTS.items())
         if n_jobs < 1:
             raise ValueError("generate: --jobs must be at least 1")
-        _reject_given(args, "--seed-set",
+        _reject_given(args, "generate: --seed-set does not take",
                       ("b", "c", "d", "bits", "resume", "checkpoint"))
         try:
-            b_str, c_str = args.seed_set.split(",")
-            b_val, c_val = int(b_str), int(c_str)
+            b_val, c_val = map(int, args.seed_set.split(","))
         except ValueError:
             raise ValueError(f"generate: --seed-set wants 'B,C', "
                              f"got {args.seed_set!r}") from None
@@ -98,24 +96,29 @@ def cmd_generate(args) -> int:
         fam = build_seed_set(b_val, c_val)
         _check_whole_words(fmt, len(fam) * (per_seed - drop))
         jobs = [(m.as_tuple(), per_seed, drop) for m in fam.members]
-        if n_jobs > 1:
-            # a few contiguous runs of members per worker, not one pickle
-            # round trip per member
-            per_chunk = -(-len(jobs) // (4 * n_jobs))
-            with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-                chunks = list(pool.map(_worker_generate, jobs,
-                                       chunksize=per_chunk))
-        else:
-            chunks = [_worker_generate(j) for j in jobs]
-        stream = BitStream(np.frombuffer(b"".join(chunks), dtype=np.uint8))
+        # a worker takes a few contiguous members per pickle round trip; they
+        # are joined as they arrive, pairwise like a binary counter (runs halve
+        # in length up the stack), so k members cost O(N log k)
+        with ProcessPoolExecutor(n_jobs) if n_jobs > 1 else nullcontext() as pool:
+            chunks = map(_worker_generate, jobs) if pool is None else pool.map(
+                _worker_generate, jobs, chunksize=-(-len(jobs) // (4 * n_jobs)))
+            runs = []
+            for value, length in chunks:
+                run = BitStream.from_int(value, length)
+                while runs and len(runs[-1]) == len(run):  # equal member lengths
+                    run = runs.pop() + run
+                runs.append(run)
+        stream = runs.pop()
+        while runs:  # the shortest first, so the whole stream is built once
+            stream = runs.pop() + stream
     else:
         if args.bits is None or args.bits < 1:
             raise ValueError("generate: --bits must be at least 1")
         _check_whole_words(fmt, args.bits)
         if args.resume:
-            _reject_given(args, "--resume", ("b", "c", "d"))
-            with open(args.resume) as fh:
-                state: OrbitState | CoeffTriple = OrbitState.from_text(fh.read())
+            _reject_given(args, "generate: --resume does not take", "bcd")
+            state: OrbitState | CoeffTriple = OrbitState.from_text(
+                Path(args.resume).read_text())
         else:
             state = _triple_from_args(args)
         stream, final = generate_bits(state, args.bits)
@@ -125,9 +128,7 @@ def cmd_generate(args) -> int:
         write_bits(out_path, stream, fmt)
     # after the output, so it never claims unwritten bits (not in --seed-set)
     if args.checkpoint:
-        text = final.to_text()
-        with open(args.checkpoint, "w") as fh:
-            fh.write(text)
+        Path(args.checkpoint).write_text(final.to_text())
     return EXIT_OK
 
 
@@ -135,12 +136,12 @@ def cmd_verify(args) -> int:
     if args.bits < 1:
         raise ValueError("verify: --bits must be at least 1")
     triple = _triple_from_args(args)
-    got = generate_bits(triple, args.bits)[0].to01()
+    got = generate_bits(triple, args.bits)[0].value
     try:  # the shifted-triple certificate, independent of how m was found
-        RootInterval(int(got, 2), args.bits, triple)
+        RootInterval(got, args.bits, triple)
     except ConditionViolation:
-        expected, _ = isolate_root_bits(triple, args.bits)
-        first = next(i for i, (x, y) in enumerate(zip(got, expected)) if x != y)
+        expected = isolate_root_bits(triple, args.bits)[1].m
+        first = args.bits - (got ^ expected).bit_length()
         print(f"fail: first mismatch at bit {first}")
         return EXIT_FAIL
     print(f"pass: {args.bits} bits of ({triple.b},{triple.c},{triple.d}) "
@@ -162,10 +163,7 @@ def cmd_seeds(args) -> int:
     fam = build_seed_set(args.b, args.c)
     reasons = [(m, is_source_point(m)) for m in fam.members]
     payload = {
-        "b": fam.b,
-        "c": fam.c,
-        "count": len(fam),
-        "parity_rule": fam.parity_rule,
+        "b": fam.b, "c": fam.c, "count": len(fam), "parity_rule": fam.parity_rule,
         "members": [
             {"b": m.b, "c": m.c, "d": m.d,
              "source": r.is_source, "reason": r.value}
@@ -211,26 +209,25 @@ def cmd_seeds(args) -> int:
     return EXIT_FAIL if failed else EXIT_OK
 
 
-def _load_scan_words(args) -> np.ndarray:
-    if args.source == "file":
+def cmd_mt(args) -> int:
+    if args.mt_cmd == "scan" and args.source == "file":
+        _reject_given(args, "mt scan: --source file does not take", _MT_DEFAULTS)
         if not args.infile:
             raise ValueError("mt scan: --source file requires --in")
-        return read_words_le(args.infile)
-    if args.infile:
+        words = read_words_le(args.infile)
+    elif args.mt_cmd == "scan" and args.infile:
         raise ValueError("mt scan: --in needs --source file")
-    return MT19937(args.seed).generate(args.count)
-
-
-def cmd_mt(args) -> int:
-    if args.mt_cmd == "gen":
-        if args.count == 0:
+    else:
+        seed, count = (v if getattr(args, k) is None else getattr(args, k)
+                       for k, v in _MT_DEFAULTS.items())
+        if args.mt_cmd == "gen" and count == 0:
             raise ValueError("mt gen: --count must be at least 1")
-        words = MT19937(args.seed).generate(args.count)
+        words = MT19937(seed).generate(count)
+    if args.mt_cmd == "gen":
         write_words_le(args.out, words)
         return EXIT_OK
     a, b = load_recurrence_matrices()
     if args.mt_cmd == "verify":
-        words = MT19937(args.seed).generate(args.count)
         check = verify_recurrence(words, a, b)
         if check.ok:
             print(f"pass: recurrence holds at all {check.checked} checkable indices")
@@ -238,7 +235,6 @@ def cmd_mt(args) -> int:
         print(f"fail: first violation at n={check.first_violation}")
         return EXIT_FAIL
     if args.mt_cmd == "recover":
-        words = MT19937(args.seed).generate(args.count)
         ra, rb = recover_matrices(words)
         held_out = verify_recurrence(words, ra, rb)
         if (ra, rb) == (a, b) and held_out.ok:
@@ -247,12 +243,9 @@ def cmd_mt(args) -> int:
         print("fail: recovered matrices differ from the packaged data")
         return EXIT_FAIL
     # scan: argparse admits no fifth subcommand
-    words = _load_scan_words(args)
-    pairs = scan_conditions_ab(words, a, b)
-    text = lag_pairs_csv(pairs)
+    text = lag_pairs_csv(scan_conditions_ab(words, a, b))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -261,9 +254,8 @@ def cmd_mt(args) -> int:
 def cmd_stats(args) -> int:
     if not 0 < args.alpha < 1:  # false for NaN too
         raise ValueError("stats: --alpha must be between 0 and 1")
-    fmt = OutputFormat(args.format)
-    bits = read_bits(args.infile, fmt)
-    result = run_suite(bits, alpha=args.alpha)
+    result = run_suite(read_bits(args.infile, OutputFormat(args.format)),
+                       alpha=args.alpha)
     json.dump(result.to_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK if result.all_passed else EXIT_FAIL
@@ -277,9 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("generate", help="emit pseudorandom bits")
-    p.add_argument("--b", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--d", type=int)
+    for k in "bcd":
+        p.add_argument("--" + k, type=int)
     p.add_argument("--bits", type=int, help="number of bits to emit")
     p.add_argument("--format", choices=sorted(f.value for f in OutputFormat),
                    default="raw")
@@ -297,15 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("verify", help="check bits against the root expansion")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    for k in "bcd":
+        p.add_argument("--" + k, type=int, required=True)
     p.add_argument("--bits", type=int, default=256)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("seeds", help="build and audit a seed family")
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
+    for k in "bc":
+        p.add_argument("--" + k, type=int, required=True)
     p.add_argument("--gaps", action="store_true", help="include the gap report")
     p.add_argument("--precision", type=int,
                    help="--gaps root enclosure precision in bits (default 64)")
@@ -323,13 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
                            ("recover", "re-derive the matrices from output"),
                            ("scan", "emit lag-coincidence pairs as CSV")]:
         mp = msub.add_parser(name, help=helptext)
-        mp.add_argument("--count", type=int, default=10000,
-                        help="number of 32-bit outputs")
-        mp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        for k, what in [("count", "number of 32-bit outputs"),
+                        ("seed", "MT19937 seed")]:
+            mp.add_argument("--" + k, type=int,
+                            help=f"{what} (default {_MT_DEFAULTS[k]})")
         if name == "gen":
             mp.add_argument("--out", required=True)
         if name == "scan":
-            mp.add_argument("--source", choices=["mt", "file"], default="mt")
+            mp.add_argument("--source", choices=["mt", "file"], default="mt",
+                            help="mt: --count words from --seed; file: --in")
             mp.add_argument("--in", dest="infile",
                             help="little-endian 32-bit word file to scan")
             mp.add_argument("--out", help="CSV path (default stdout)")

@@ -154,6 +154,8 @@ def recover_matrices(outputs: Sequence[int] | np.ndarray
     job (compose with verify_recurrence).
     """
     ys = [int(w) for w in np.asarray(outputs).tolist()]
+    if ys and (min(ys) < 0 or max(ys) > MASK32):
+        raise ValueError("outputs must be 32-bit words")
     if len(ys) < N + 1:
         raise RankDeficient(f"need at least {N + 1} outputs, got {len(ys)}")
 

@@ -247,5 +247,4 @@ def generate_bits(seed: Union[CoeffTriple, OrbitState],
     """
     state = seed if isinstance(seed, OrbitState) else OrbitState(seed, 0)
     m, triple = jump(state.triple, n)
-    raw = (m << (-n % 8)).to_bytes((n + 7) // 8, "big")  # MSB-first
-    return BitStream.from_bytes(raw, n), OrbitState(triple, state.step_index + n)
+    return BitStream.from_int(m, n), OrbitState(triple, state.step_index + n)

@@ -6,8 +6,8 @@ cumulative sums, and approximate entropy. Each test returns the
 conventional statistic and P-value; a sequence passes a test at
 significance alpha when its P-value is at least alpha. P-value
 special functions come from scipy (erfc, the regularized upper
-incomplete gamma, the normal CDF), whose double-precision error sits
-far below the 1e-10 bar the reports need.
+incomplete gamma, the normal CDF), imported by each test so that bits
+are generated without scipy; their error is far below 1e-10.
 
 Inputs shorter than a test's documented minimum raise InputTooShort;
 the suite is meant for sequences of 1e5 bits or more. Testing here is
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List
 
 import numpy as np
-from scipy.special import erfc, gammaincc, ndtr
 
-from .bitstream import BitStream
+from .bitstream import BitsLike, BitStream
 
 DEFAULT_ALPHA = 0.01
 
@@ -59,9 +58,8 @@ def _report(name: str, statistic: float, p_value: float, alpha: float,
                       bool(p_value >= alpha), alpha, params)
 
 
-def _as_bits(s: Union[BitStream, Sequence[int], np.ndarray],
-             minimum: int, test: str) -> np.ndarray:
-    bits = s.bits if isinstance(s, BitStream) else BitStream(s).bits
+def _as_bits(s: BitsLike, minimum: int, test: str) -> np.ndarray:
+    bits = BitStream(s).bits
     if bits.size < minimum:
         raise InputTooShort(f"{test} needs at least {minimum} bits, got {bits.size}")
     return bits
@@ -69,6 +67,7 @@ def _as_bits(s: Union[BitStream, Sequence[int], np.ndarray],
 
 def monobit(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Balance of ones and zeros over the whole sequence."""
+    from scipy.special import erfc
     bits = _as_bits(s, 100, "monobit")
     n = bits.size
     s_n = 2 * int(np.count_nonzero(bits)) - n
@@ -79,6 +78,7 @@ def monobit(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
 
 def block_frequency(s, m: int = 128, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Balance of ones within disjoint m-bit blocks."""
+    from scipy.special import gammaincc
     bits = _as_bits(s, 100, "block_frequency")
     if m < 2:
         raise ValueError("block length must be at least 2")
@@ -93,6 +93,7 @@ def block_frequency(s, m: int = 128, alpha: float = DEFAULT_ALPHA) -> TestReport
 
 def runs(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Total count of maximal same-bit runs versus its expectation."""
+    from scipy.special import erfc
     bits = _as_bits(s, 100, "runs")
     n = bits.size
     pi = float(np.count_nonzero(bits)) / n
@@ -117,14 +118,10 @@ _LONGEST_RUN_TABLES = {
 
 def longest_run(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Distribution of the longest run of ones per block."""
+    from scipy.special import gammaincc
     bits = _as_bits(s, 128, "longest_run")
     n = bits.size
-    if n >= 750000:
-        m = 10000
-    elif n >= 6272:
-        m = 128
-    else:
-        m = 8
+    m = 10000 if n >= 750000 else 128 if n >= 6272 else 8
     (lo, hi), pis = _LONGEST_RUN_TABLES[m]
     n_blocks = n // m
     # each block behind a zero sentinel, plus one closing zero: every run
@@ -180,6 +177,7 @@ def _psi_sq(counts: np.ndarray, n: int) -> float:
 
 def serial(s, m: int = 16, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
     """Uniformity of overlapping m-bit patterns; two P-values per run."""
+    from scipy.special import gammaincc
     bits = _as_bits(s, 16, "serial")
     if m < 2:
         raise ValueError("pattern length must be at least 2")
@@ -201,6 +199,7 @@ def serial(s, m: int = 16, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
 
 def cumulative_sums(s, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
     """Maximum excursion of the +1/-1 partial sums, forward and backward."""
+    from scipy.special import ndtr
     bits = _as_bits(s, 100, "cumulative_sums")
     n = bits.size
     steps = bits.astype(np.int8)
@@ -229,6 +228,7 @@ def cumulative_sums(s, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
 
 def approximate_entropy(s, m: int = 10, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Entropy gap between m- and (m+1)-bit overlapping pattern statistics."""
+    from scipy.special import gammaincc
     bits = _as_bits(s, 16, "approximate_entropy")
     if m < 1:
         raise ValueError("pattern length must be at least 1")
@@ -284,7 +284,7 @@ SUITE_APEN_M = 10
 
 def run_suite(s, alpha: float = DEFAULT_ALPHA) -> SuiteResult:
     """Run the whole battery with (length-capped) default parameters."""
-    bits = s if isinstance(s, BitStream) else BitStream(s)
+    bits = BitStream(s)  # one stream, so one unpacked view for every test
     n = len(bits)
     if n < 1024:
         raise InputTooShort("run_suite needs at least 1024 bits")

@@ -8,6 +8,7 @@ from cubicorbit import (BitStream, MT19937, ConditionViolation, OrbitState,
 from cubicorbit import cli, orbit, roots
 from cubicorbit.bitstream import read_bits, read_words_le, write_words_le
 from cubicorbit.cli import main
+from conftest import bisect_prefix
 
 
 def run_cli(capsys, *argv):
@@ -110,17 +111,30 @@ class TestGenerate:
         assert first_bad >= 0
 
     def test_seed_set_pipeline_order_and_trimming(self, tmp_path, capsys):
-        out = tmp_path / "fam.raw"
-        code, _, _ = run_cli(capsys, "generate", "--seed-set", "0,3",
-                             "--per-seed-bits", "64", "--drop-prefix-bits", "8",
-                             "--out", str(out))
-        assert code == 0
-        chunks = []
-        for d in (-1, -2, -3):
-            bits, _ = generate_bits(validate_triple(0, 3, d), 64)
-            chunks.append(bits[8:])
-        want = chunks[0] + chunks[1] + chunks[2]
-        assert BitStream.from_bytes(out.read_bytes()) == want
+        # byte-aligned members, then members of 97 and 45 bits, which the
+        # join must shift into place
+        for c, per_seed, drop in ((3, 64, 8), (8, 100, 3), (5, 45, 0)):
+            n = per_seed - drop
+            ds = range(-1, -c - 1, -1)
+            want = BitStream([])
+            for d in ds:
+                bits, _ = generate_bits(validate_triple(0, c, d), per_seed)
+                want = want + bits[drop:]
+            files = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"fam_{c}_{jobs}.raw"
+                code, _, _ = run_cli(capsys, "generate", "--seed-set", f"0,{c}",
+                                     "--per-seed-bits", str(per_seed),
+                                     "--drop-prefix-bits", str(drop),
+                                     "--jobs", jobs, "--out", str(out))
+                assert code == 0
+                files.append(out.read_bytes())
+                got = BitStream.from_bytes(files[-1], c * n)
+                assert got == want
+                for i, d in enumerate(ds):  # each member against the bisection
+                    whole = bisect_prefix(validate_triple(0, c, d), per_seed)
+                    assert got[i * n:(i + 1) * n].value == whole % (1 << n), (jobs, d)
+            assert files[0] == files[1]
 
     def test_coefficient_limit_fails_before_writing(self, tmp_path, capsys):
         # --max-coeff-bits is no longer an option: a usage error, no output
@@ -295,17 +309,20 @@ class TestVerify:
         assert err == "error: condition (ii) fails for (b,c,d)=(0,1,1)\n"
 
     def test_wrong_bit_fails_with_first_mismatch(self, monkeypatch, capsys):
-        def flipped(t, n):
-            bits, state = generate_bits(t, n)
-            raw = bits.bits.copy()
-            raw[5] ^= 1
-            return BitStream(raw), state
-        monkeypatch.setattr(cli, "generate_bits", flipped)
-        code, out, err = run_cli(capsys, "verify", "--b", "0", "--c", "1",
-                                 "--d", "-1", "--bits", "16")
-        assert code == 1
-        assert out == "fail: first mismatch at bit 5\n"
-        assert err == ""
+        # the first, a middle and the last bit: the last is where an
+        # off-by-one in the bit_length index would show
+        for bad in (0, 5, 15):
+            def flipped(t, n):
+                bits, state = generate_bits(t, n)
+                raw = bits.bits.copy()
+                raw[bad] ^= 1
+                return BitStream(raw), state
+            monkeypatch.setattr(cli, "generate_bits", flipped)
+            code, out, err = run_cli(capsys, "verify", "--b", "0", "--c", "1",
+                                     "--d", "-1", "--bits", "16")
+            assert code == 1
+            assert out == f"fail: first mismatch at bit {bad}\n"
+            assert err == ""
 
     def test_pass_runs_the_jump_once(self, monkeypatch, capsys):
         calls = []
@@ -484,6 +501,29 @@ class TestMt:
         assert out == ""
         assert err == "error: mt scan: --in needs --source file\n"
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize("given, named", [
+        (["--count", "5", "--seed", "9"], "--seed, --count"),
+        (["--seed", "9"], "--seed"),
+        (["--count", "10000"], "--count")], ids=["both", "seed", "count"])
+    def test_scan_file_rejects_seed_and_count(self, tmp_path, capsys,
+                                              monkeypatch, given, named):
+        words_path, csv_path = tmp_path / "w.bin", tmp_path / "scan.csv"
+        write_words_le(words_path, MT19937(7).generate(1000))
+        monkeypatch.setattr(cli, "read_words_le", None)  # the file is not read
+        code, out, err = run_cli(capsys, "mt", "scan", "--source", "file",
+                                 "--in", str(words_path), *given,
+                                 "--out", str(csv_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: mt scan: --source file does not take {named}\n"
+        assert not csv_path.exists()
+
+    def test_scan_help_names_the_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["mt", "scan", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "(default 10000)" in out and "(default 5489)" in out
 
     def test_scan_file_requires_in(self, capsys):
         code, _, err = run_cli(capsys, "mt", "scan", "--source", "file")

@@ -227,6 +227,13 @@ class TestRecovery:
             return
         assert not verify_recurrence(words[2000:], ra, rb).ok
 
+    @pytest.mark.parametrize("bad", [1 << 40, 1 << 32, -1])
+    def test_rejects_words_wider_than_32_bits(self, bad):
+        words = [int(w) for w in MT19937().generate(2000)]
+        with pytest.raises(ValueError, match="32-bit words") as exc:
+            recover_matrices(words + [bad])
+        assert not isinstance(exc.value, RankDeficient)
+
     def test_degenerate_input_rank_deficient(self):
         with pytest.raises(RankDeficient):
             recover_matrices([0] * 2000)

@@ -223,3 +223,75 @@ class TestBitStream:
         s = BitStream.from01("11110000")
         assert (s[:4] + s[4:]) == s
         assert s[4] == 0
+
+    def test_rejects_two_dimensions(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            BitStream(np.zeros((2, 4), dtype=np.uint8))
+
+    @pytest.mark.parametrize("value, length", [
+        (1 << 8, 8), (1, 0), (-1, 8), ((1 << 70) + 5, 70)])
+    def test_from_int_checks_the_range(self, value, length):
+        with pytest.raises(ValueError):
+            BitStream.from_int(value, length)
+        assert BitStream.from_int(value % (1 << length), length).value >= 0
+
+    @pytest.mark.parametrize("text", ["1_0", "0b1", "+1", "-1", "12", "1 0"])
+    def test_from01_rejects_what_int_would_take(self, text):
+        with pytest.raises(ValueError):
+            BitStream.from01(text)
+
+    # every length up to 70 and a few long ones, each against a uint8
+    # reference built with plain numpy
+    LENGTHS = list(range(71)) + random.Random(11).sample(range(71, 5001), 12)
+
+    @staticmethod
+    def _ref(n: int) -> np.ndarray:
+        return np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_formats_match_a_numpy_reference(self, n):
+        ref = self._ref(n)
+        s = BitStream(ref)
+        text = "".join(map(str, ref.tolist()))
+        raw = np.packbits(ref).tobytes()
+        assert len(s) == n and np.array_equal(s.bits, ref)
+        assert s.value == (int(text, 2) if n else 0)
+        assert s.to01() == text and BitStream.from01(text) == s
+        assert s.to_bytes() == raw
+        assert BitStream.from_bytes(raw, n) == s
+        padded = BitStream.from_bytes(raw)
+        assert np.array_equal(padded.bits, np.unpackbits(np.frombuffer(raw, np.uint8)))
+        res = s.pack_words()
+        whole = n - n % 32
+        assert res.dropped_bits == n % 32
+        assert np.array_equal(res.words, np.packbits(ref[:whole]).view(">u4"))
+        assert np.array_equal(BitStream.from_words(res.words).bits, ref[:whole])
+        assert not s.bits.flags.writeable and s.bits is s.bits  # unpacked once
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_slices_indexes_and_joins_match_a_numpy_reference(self, n):
+        ref = self._ref(n)
+        s = BitStream(ref)
+        cuts = {0, 1, 3, n // 3, n // 2 + 5, n - 7, n - 1, n, n + 9, -3, -n}
+        for a in sorted(cuts):
+            for b in (None, n - 5, n // 2 + 3, 13, -1):
+                assert np.array_equal(s[a:b].bits, ref[a:b]), (a, b)
+            head = BitStream(ref[:a])
+            tail = BitStream(ref[a:])
+            assert head + tail == s
+            assert np.array_equal((tail + head).bits,
+                                  np.concatenate([ref[a:], ref[:a]]))
+        assert np.array_equal(s[1::3].bits, ref[1::3])
+        for i in range(-n, n):
+            assert s[i] == ref[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                s[i]
+
+    def test_equality_needs_the_same_length(self):
+        s = BitStream.from01("0101")
+        assert s == BitStream([0, 1, 0, 1])
+        assert s != BitStream.from01("101")      # same value, shorter
+        assert s != BitStream.from01("00101")    # same value, longer
+        assert s != BitStream.from01("0100")
+        assert BitStream([]) == BitStream.from01("") != BitStream.from01("0")
