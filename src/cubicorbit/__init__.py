@@ -13,10 +13,10 @@ The package has three legs:
 
 from .bitstream import BitStream, OutputFormat, PackResult
 from .gf2 import Gf2Matrix32
-from .mt19937 import (MT19937, DataCorrupt, LagPair, RankDeficient,
-                      RecurrenceCheck, load_recurrence_matrices,
-                      recover_matrices, scan_conditions_ab, temper,
-                      untemper, verify_recurrence)
+from .mt19937 import (MT19937, LagPair, RankDeficient, RecurrenceCheck,
+                      load_recurrence_matrices, recover_matrices,
+                      scan_conditions_ab, temper, untemper,
+                      verify_recurrence)
 from .orbit import (CoeffTriple, ConditionViolation, OrbitState,
                     generate_bits, inverse_step, jump, shifted, step,
                     validate_triple)
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitStream", "OutputFormat", "PackResult", "Gf2Matrix32",
-    "MT19937", "DataCorrupt", "LagPair", "RankDeficient", "RecurrenceCheck",
+    "MT19937", "LagPair", "RankDeficient", "RecurrenceCheck",
     "load_recurrence_matrices", "recover_matrices", "scan_conditions_ab",
     "temper", "untemper", "verify_recurrence",
     "CoeffTriple", "ConditionViolation", "OrbitState", "generate_bits",

@@ -139,7 +139,11 @@ def write_words_le(path, words: np.ndarray) -> None:
 
 
 def read_words_le(path) -> np.ndarray:
-    return np.fromfile(path, dtype="<u4").astype(np.uint32)
+    raw = Path(path).read_bytes()
+    if len(raw) % 4:  # np.fromfile would drop the partial word in silence
+        raise ValueError(f"{path} holds {len(raw)} bytes, "
+                         f"not a whole number of 32-bit words")
+    return np.frombuffer(raw, dtype="<u4").astype(np.uint32)
 
 
 def write_bits(path, s: BitStream, fmt: OutputFormat) -> None:

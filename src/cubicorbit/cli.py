@@ -196,13 +196,12 @@ def cmd_seeds(args) -> int:
             failed = True
     if args.distinctness is not None:
         rep = field_distinctness_check(fam, args.distinctness)
-        unknown = rep.unknown_pairs()
-        n_pairs = len(fam) * (len(fam) - 1) // 2
         payload["distinctness"] = {
             "factor_bound": rep.factor_bound,
-            "pairs": n_pairs,
-            "distinct": n_pairs - len(unknown),
-            "unknown": [[i, j] for i, j in unknown],
+            "pairs": len(fam) * (len(fam) - 1) // 2,
+            "distinct": rep.distinct_pairs(),
+            "uncertified": rep.uncertified(),
+            "equal_kernels": rep.equal_kernels(),
         }
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")

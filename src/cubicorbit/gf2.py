@@ -42,19 +42,6 @@ class Gf2Matrix32:
             acc = (acc << 1) | parity(r & v)
         return acc
 
-    def to_lines(self) -> List[str]:
-        return [format(r, "032b") for r in self.rows]
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "Gf2Matrix32":
-        rows = []
-        for line in lines:
-            line = line.strip()
-            if len(line) != WORD_BITS or set(line) - {"0", "1"}:
-                raise ValueError(f"bad matrix row: {line!r}")
-            rows.append(int(line, 2))
-        return cls(tuple(rows))
-
     @classmethod
     def from_columns(cls, columns: Sequence[int]) -> "Gf2Matrix32":
         """Matrix from its 32 columns, column 1 first, as 32-bit ints."""

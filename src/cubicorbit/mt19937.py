@@ -6,9 +6,12 @@ recurrence over GF(2),
     y_n = y_{n-227} ^ A y_{n-623} ^ B y_{n-624},    n >= 624,
 
 for two constant 32x32 bit matrices A and B (B has rank one: its
-nonzero rows are all copies of row 2). The matrices ship as data files
-and can be recovered independently from output samples by solving the
-recurrence as a linear system, which keeps the transcription honest.
+nonzero rows are all copies of row 2). They follow from the untempered
+state recurrence x_n = x_{n-227} ^ twist((x_{n-624} & upper) |
+(x_{n-623} & lower)): tempering is linear, so A and B are the twist of
+the low 31 bits and of the top bit, conjugated by the tempering map.
+`recover_matrices` finds them independently, by solving the recurrence
+on output samples as a linear system.
 
 The lag-coincidence scan looks for indices n where the top 8 bits of
 A y_{n-623} vanish (rows 1-8 orthogonal to the word) and B y_{n-624}
@@ -19,10 +22,8 @@ without this linear structure does not show.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,42 +71,32 @@ def untemper(y: int) -> int:
     return x & MASK32
 
 
-class DataCorrupt(ValueError):
-    """Matrix data file failed its checksum or shape check."""
-
-
-def parse_matrix_text(text: str, label: str = "matrix") -> Gf2Matrix32:
-    """Parse the 32-rows-plus-checksum data format, verifying the checksum."""
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if len(lines) != 33 or not lines[-1].startswith("sha256 "):
-        raise DataCorrupt(f"{label}: expected 32 rows plus a checksum line")
-    rows, checksum = lines[:32], lines[-1].split()[1]
-    digest = hashlib.sha256("".join(r + "\n" for r in rows).encode()).hexdigest()
-    if digest != checksum:
-        raise DataCorrupt(f"{label}: checksum mismatch")
-    try:
-        return Gf2Matrix32.from_lines(rows)
-    except ValueError as exc:
-        raise DataCorrupt(f"{label}: {exc}") from None
-
-
-def _load_matrix(filename: str) -> Gf2Matrix32:
-    text = resources.files("cubicorbit.data").joinpath(filename).read_text()
-    return parse_matrix_text(text, label=filename)
+def _twist(x: int) -> int:
+    """The state twist, as it acts on one 32-bit word."""
+    return (x >> 1) ^ (0x9908B0DF if x & 1 else 0)
 
 
 def load_recurrence_matrices() -> Tuple[Gf2Matrix32, Gf2Matrix32]:
-    """The checked-in recurrence matrices (A, B), checksum-verified."""
-    return _load_matrix("mt_matrix_a.txt"), _load_matrix("mt_matrix_b.txt")
+    """The recurrence matrices (A, B): the twist of the low 31 bits and of
+    the top bit of a word, each conjugated by the tempering map."""
+    return (
+        Gf2Matrix32.from_function(
+            lambda y: temper(_twist(untemper(y) & 0x7FFFFFFF))),
+        Gf2Matrix32.from_function(
+            lambda y: temper(_twist(untemper(y) & 0x80000000))),
+    )
 
 
 def _as_words(outputs: Sequence[int] | np.ndarray) -> np.ndarray:
     """At least N + 1 32-bit words as a uint32 array."""
-    arr = np.asarray(outputs, dtype=np.uint64)
+    try:
+        arr = np.asarray(outputs, dtype=np.uint64)
+    except OverflowError:  # a Python int outside [0, 2^64)
+        arr = None
+    if arr is None or arr.size and arr.max() > MASK32:
+        raise ValueError("outputs must be 32-bit words")
     if arr.ndim != 1:
         raise ValueError("outputs must be one-dimensional")
-    if arr.size and arr.max() > MASK32:
-        raise ValueError("outputs must be 32-bit words")
     if arr.size < N + 1:
         raise ValueError(f"need at least {N + 1} outputs, got {arr.size}")
     return arr.astype(np.uint32)
@@ -153,11 +144,9 @@ def recover_matrices(outputs: Sequence[int] | np.ndarray
     never gets there. Validation against held-out data is the caller's
     job (compose with verify_recurrence).
     """
-    ys = [int(w) for w in np.asarray(outputs).tolist()]
-    if ys and (min(ys) < 0 or max(ys) > MASK32):
-        raise ValueError("outputs must be 32-bit words")
-    if len(ys) < N + 1:
-        raise RankDeficient(f"need at least {N + 1} outputs, got {len(ys)}")
+    if len(outputs) < N + 1:
+        raise RankDeficient(f"need at least {N + 1} outputs, got {len(outputs)}")
+    ys = _as_words(outputs).tolist()
 
     def equations() -> Iterable[Tuple[int, int]]:
         for n in range(N, len(ys)):

@@ -230,14 +230,27 @@ class DistinctnessReport:
 
     @property
     def all_distinct(self) -> bool:
-        ks = [k.kernel for k in self.kernels]
-        return None not in ks and len(set(ks)) == len(ks)
+        return not self.uncertified() and not self.equal_kernels()
 
-    def unknown_pairs(self) -> List[Tuple[int, int]]:
-        ks = [k.kernel for k in self.kernels]
-        return [(i, j) for i, ki in enumerate(ks)
-                for j in range(i + 1, len(ks))
-                if ki is None or ks[j] is None or ki == ks[j]]
+    def uncertified(self) -> List[int]:
+        """Indexes of the members whose kernel is not certified."""
+        return [i for i, k in enumerate(self.kernels) if k.kernel is None]
+
+    def equal_kernels(self) -> List[List[int]]:
+        """Groups of two or more certified members that share a kernel,
+        each in member order, ordered by their first member."""
+        groups: dict[int, List[int]] = {}
+        for i, k in enumerate(self.kernels):
+            if k.kernel is not None:
+                groups.setdefault(k.kernel, []).append(i)
+        return [g for g in groups.values() if len(g) > 1]
+
+    def distinct_pairs(self) -> int:
+        """Pairs with two certified, different kernels: every pair of
+        certified members less the pairs inside an equal-kernel group."""
+        certified = len(self.kernels) - len(self.uncertified())
+        return math.comb(certified, 2) - sum(math.comb(len(g), 2)
+                                             for g in self.equal_kernels())
 
 
 def _squarefree_kernel(n: int, bound: int) -> Optional[int]:

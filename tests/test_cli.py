@@ -421,7 +421,9 @@ class TestSeeds:
         payload = json.loads(out)
         assert payload["distinctness"]["pairs"] == 10
         assert payload["distinctness"]["distinct"] == 10
-        assert payload["distinctness"]["unknown"] == []
+        assert payload["distinctness"]["uncertified"] == []
+        assert payload["distinctness"]["equal_kernels"] == []
+        assert "unknown" not in payload["distinctness"]
 
 
 class TestMt:
@@ -530,8 +532,35 @@ class TestMt:
         assert code == 2
         assert "--in" in err
 
+    def test_scan_file_with_partial_word_is_usage_error(self, tmp_path, capsys):
+        # 2000 words and 3 bytes: the partial word used to be dropped
+        words_path, csv_path = tmp_path / "w.bin", tmp_path / "scan.csv"
+        write_words_le(words_path, MT19937().generate(2000))
+        with open(words_path, "ab") as fh:
+            fh.write(b"abc")
+        code, out, err = run_cli(capsys, "mt", "scan", "--source", "file",
+                                 "--in", str(words_path), "--out", str(csv_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "8003 bytes" in err
+        assert not csv_path.exists()
+
 
 class TestStats:
+    def test_words_file_with_partial_word_is_usage_error(self, tmp_path, capsys):
+        # 64000 bits and one byte: the partial word used to be dropped
+        path = tmp_path / "words.bin"
+        write_words_le(path, MT19937().generate(2000))
+        with open(path, "ab") as fh:
+            fh.write(b"\x01")
+        code, out, err = run_cli(capsys, "stats", "--in", str(path),
+                                 "--format", "words32le")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "8001 bytes" in err
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "stats", "--in", "/nonexistent.bin")
         assert code == 2

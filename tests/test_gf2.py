@@ -37,11 +37,6 @@ class TestMatrix:
         # row 1 of the product is the MSB of the output
         assert m.mul(0xDEADBEEF) >> 31 == parity(0xDEADBEEF & 0xDEADBEEF)
 
-    def test_lines_round_trip(self):
-        rng = random.Random(3)
-        m = random_matrix(rng)
-        assert Gf2Matrix32.from_lines(m.to_lines()) == m
-
     def test_from_function_matches_direct_mul(self):
         rng = random.Random(4)
         m = random_matrix(rng)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -7,8 +8,7 @@ from cubicorbit import (MT19937, generate_bits, load_recurrence_matrices,
                         recover_matrices, scan_conditions_ab, temper,
                         untemper, validate_triple, verify_recurrence)
 from cubicorbit.gf2 import Gf2Matrix32
-from cubicorbit.mt19937 import (DEFAULT_SEED, DataCorrupt, RankDeficient,
-                                lag_pairs_csv, parse_matrix_text)
+from cubicorbit.mt19937 import DEFAULT_SEED, RankDeficient, lag_pairs_csv
 
 # first outputs of the reference implementation for the default seed
 KNOWN_FIRST = [3499211612, 581869302, 3890346734, 3586334585, 545404204]
@@ -138,17 +138,15 @@ class TestMatrices:
         assert nonzero == {b.row(2)}
         assert [i + 1 for i, r in enumerate(b.rows) if r] == [2, 6, 13, 20, 24, 31]
 
-    def test_checksum_tamper_detected(self):
-        a, _ = load_recurrence_matrices()
-        lines = a.to_lines()
-        flipped = lines[:]
-        flipped[7] = ("1" if flipped[7][0] == "0" else "0") + flipped[7][1:]
-        import hashlib
-        good_sum = hashlib.sha256("".join(l + "\n" for l in lines).encode()).hexdigest()
-        with pytest.raises(DataCorrupt):
-            parse_matrix_text("\n".join(flipped) + f"\nsha256 {good_sum}\n")
-        with pytest.raises(DataCorrupt):
-            parse_matrix_text("\n".join(lines) + "\nsha256 0000\n")
+    def test_row_digests(self):
+        # the sha256 of each matrix as 32 lines of 32 bits, row 1 first
+        a, b = load_recurrence_matrices()
+        digests = [hashlib.sha256("".join(format(r, "032b") + "\n"
+                                          for r in m.rows).encode()).hexdigest()
+                   for m in (a, b)]
+        assert digests == [
+            "02afc79c4bdb96ba17caa09b6bb1fc7d4c7cb6a602bb666551cf8fd221b59362",
+            "b3732b1b94f51f6f81f5e2f99d3a96dbdf64303ebf7905fc044701884d1d0f39"]
 
     def test_structural_derivation_matches_data(self):
         # rebuild A and B from the generator's own update rule: conjugate
@@ -227,12 +225,15 @@ class TestRecovery:
             return
         assert not verify_recurrence(words[2000:], ra, rb).ok
 
-    @pytest.mark.parametrize("bad", [1 << 40, 1 << 32, -1])
+    @pytest.mark.parametrize("bad", [1 << 40, 1 << 32, -1, 1 << 64])
     def test_rejects_words_wider_than_32_bits(self, bad):
-        words = [int(w) for w in MT19937().generate(2000)]
-        with pytest.raises(ValueError, match="32-bit words") as exc:
-            recover_matrices(words + [bad])
-        assert not isinstance(exc.value, RankDeficient)
+        words = [int(w) for w in MT19937().generate(2000)] + [bad]
+        a, b = load_recurrence_matrices()
+        for check in (recover_matrices, lambda w: verify_recurrence(w, a, b),
+                      lambda w: scan_conditions_ab(w, a, b)):
+            with pytest.raises(ValueError, match="32-bit words") as exc:
+                check(words)
+            assert not isinstance(exc.value, RankDeficient)
 
     def test_degenerate_input_rank_deficient(self):
         with pytest.raises(RankDeficient):

@@ -262,14 +262,17 @@ class TestFieldDistinctness:
                                          validate_triple(0, 2, -1)))
         rep = field_distinctness_check(fam, 100)
         assert rep.all_distinct
-        assert rep.unknown_pairs() == []
+        assert rep.uncertified() == [] and rep.equal_kernels() == []
+        assert rep.distinct_pairs() == 1
 
     def test_identical_members_unknown(self):
         t = validate_triple(0, 1, -1)
         fam = SeedSet(b=0, c=1, members=(t, t))
         rep = field_distinctness_check(fam, 100)
         assert not rep.all_distinct
-        assert rep.unknown_pairs() == [(0, 1)]
+        assert rep.uncertified() == []
+        assert rep.equal_kernels() == [[0, 1]]
+        assert rep.distinct_pairs() == 0
 
     def test_family_0_5_all_distinct(self):
         rep = field_distinctness_check(build_seed_set(0, 5), 100)
@@ -283,16 +286,44 @@ class TestFieldDistinctness:
         fam = build_seed_set(0, 5)
         rep = field_distinctness_check(fam, 2)
         assert not rep.all_distinct
-        assert rep.unknown_pairs() == [(i, j) for i in range(5)
-                                       for j in range(i + 1, 5)]
+        assert rep.uncertified() == [0, 1, 2, 3, 4]
+        assert rep.equal_kernels() == []
+        assert rep.distinct_pairs() == 0
 
     def test_pair_verdicts_follow_the_kernels(self):
         # kernels 5, ?, 5, 7: only (0, 3) and (2, 3) are certified distinct
         rep = DistinctnessReport(100, tuple(KernelInfo(0, k)
                                             for k in (5, None, 5, 7)))
-        assert rep.unknown_pairs() == [(0, 1), (0, 2), (1, 2), (1, 3)]
+        assert rep.uncertified() == [1]
+        assert rep.equal_kernels() == [[0, 2]]
+        assert rep.distinct_pairs() == 2
         assert not rep.all_distinct
         assert DistinctnessReport(100, rep.kernels[2:]).all_distinct
+
+    def test_counts_equal_a_pair_by_pair_count(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            ks = [rng.choice([None, -3, 5, 7, 11, 13])
+                  for _ in range(rng.randrange(12))]
+            rep = DistinctnessReport(100, tuple(KernelInfo(0, k) for k in ks))
+            pairs = [(i, j) for i in range(len(ks))
+                     for j in range(i + 1, len(ks))]
+            assert rep.distinct_pairs() == sum(
+                ks[i] is not None and ks[j] is not None and ks[i] != ks[j]
+                for i, j in pairs)
+            assert rep.uncertified() == [i for i, k in enumerate(ks)
+                                         if k is None]
+            # a certified pair is unresolved exactly when one group holds both
+            groups = rep.equal_kernels()
+            assert all(len(g) > 1 and g == sorted(g) for g in groups)
+            assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+            assert sorted(i for g in groups for i in g) == [
+                i for i, k in enumerate(ks) if k is not None and ks.count(k) > 1]
+            assert {(i, j) for g in groups for i in g for j in g if i < j} == {
+                (i, j) for i, j in pairs
+                if ks[i] is not None and ks[i] == ks[j]}
+            assert rep.all_distinct == (None not in ks
+                                        and len(set(ks)) == len(ks))
 
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):
