@@ -38,7 +38,7 @@ print(f"\nMT19937: {len(pairs_mt)} filtered pairs, {diag} on the diagonal")
 # --- generator side: same filter, no structure --------------------------
 print(f"\ngenerating {n_bits} exact bits...")
 bits, _ = generate_bits(validate_triple(0, 1, -1), n_bits)
-words_cubic = bits.pack_words().words
+words_cubic = bits.pack_words()
 pairs_cubic = scan_conditions_ab(words_cubic, a, b)
 diag_c = sum(1 for p in pairs_cubic if p.y_top8 == p.y_lag_top8)
 print(f"doubling-map generator: {len(pairs_cubic)} filtered pairs, "

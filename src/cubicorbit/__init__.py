@@ -11,7 +11,7 @@ The package has three legs:
   and a small statistical test battery.
 """
 
-from .bitstream import BitStream, OutputFormat, PackResult
+from .bitstream import BitStream, OutputFormat
 from .gf2 import Gf2Matrix32
 from .mt19937 import (MT19937, LagPair, RankDeficient, RecurrenceCheck,
                       load_recurrence_matrices, recover_matrices,
@@ -33,7 +33,7 @@ from .stats import (InputTooShort, SuiteResult, TestReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitStream", "OutputFormat", "PackResult", "Gf2Matrix32",
+    "BitStream", "OutputFormat", "Gf2Matrix32",
     "MT19937", "LagPair", "RankDeficient", "RecurrenceCheck",
     "load_recurrence_matrices", "recover_matrices", "scan_conditions_ab",
     "temper", "untemper", "verify_recurrence",

@@ -6,6 +6,13 @@ packing is MSB-first: bit k lands in bit position 7-(k%8) of byte k//8,
 and 32-bit words take their first bit as the most significant bit. Word
 files on disk are little-endian 32-bit, so the bit-to-word mapping is
 fixed before the byte order is applied.
+
+A packed format writes whole units only: `raw` whole bytes, `words32le`
+whole 32-bit words; the other formats write single bits. `write_bits`
+and `BitStream.pack_words` raise ValueError, through `check_whole_units`,
+for a bit count that would leave a partial last unit: padding it would
+emit bits no certificate covers. A `json` file carries its length, and
+`read_bits` checks it.
 """
 
 from __future__ import annotations
@@ -30,12 +37,26 @@ class OutputFormat(Enum):
     JSON = "json"
 
 
-@dataclass(frozen=True)
-class PackResult:
-    """32-bit words plus the count of trailing bits that did not fill one."""
+# bits per packing unit and the unit's name; other formats pack single bits
+_UNITS = {OutputFormat.RAW_PACKED_BITS: (8, "bytes"),
+          OutputFormat.WORDS32_LE: (32, "32-bit words")}
 
-    words: np.ndarray
-    dropped_bits: int
+
+def check_whole_units(fmt: OutputFormat, n_bits: int) -> None:
+    """Raise ValueError unless n_bits fills whole packing units of fmt."""
+    unit, noun = _UNITS.get(fmt, (1, "bits"))
+    if n_bits % unit:
+        raise ValueError(f"{fmt.value} writes whole {noun}, but {n_bits} bits "
+                         f"is not a multiple of {unit}")
+
+
+def as_words32(words: Iterable[int]) -> np.ndarray:
+    """`words` as a uint32 array; ValueError unless each is in [0, 2^32)."""
+    arr = np.asarray(words if isinstance(words, np.ndarray) else list(words))
+    if arr.size and (arr.dtype.kind not in "iu"  # no float, bool or object
+                     or arr.min() < 0 or arr.max() > 0xFFFFFFFF):
+        raise ValueError("expected 32-bit words: integers in [0, 2^32)")
+    return arr.astype(np.uint32, copy=False)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -82,8 +103,7 @@ class BitStream:
 
     @classmethod
     def from_words(cls, words: Iterable[int]) -> "BitStream":
-        arr = words if isinstance(words, np.ndarray) else list(words)
-        return cls.from_bytes(np.asarray(arr, dtype=">u4").tobytes())
+        return cls.from_bytes(as_words32(words).astype(">u4").tobytes())
 
     @functools.cached_property
     def bits(self) -> np.ndarray:
@@ -123,15 +143,10 @@ class BitStream:
         n = self.length
         return (self.value << (-n % 8)).to_bytes((n + 7) // 8, "big")
 
-    def pack_words(self) -> PackResult:
-        """Pack into 32-bit words, first bit to the word's MSB.
-
-        A trailing remainder of fewer than 32 bits is dropped and reported
-        in the result.
-        """
-        n_words, dropped = divmod(len(self), 32)
-        words = np.frombuffer(self[:n_words * 32].to_bytes(), ">u4").astype(np.uint32)
-        return PackResult(words=words, dropped_bits=int(dropped))
+    def pack_words(self) -> np.ndarray:
+        """Pack into uint32 words, first bit to the word's MSB; whole words only."""
+        check_whole_units(OutputFormat.WORDS32_LE, len(self))
+        return np.frombuffer(self.to_bytes(), ">u4").astype(np.uint32)
 
 
 def write_words_le(path, words: np.ndarray) -> None:
@@ -147,15 +162,13 @@ def read_words_le(path) -> np.ndarray:
 
 
 def write_bits(path, s: BitStream, fmt: OutputFormat) -> None:
+    check_whole_units(fmt, len(s))
     if fmt is OutputFormat.RAW_PACKED_BITS:
         Path(path).write_bytes(s.to_bytes())
     elif fmt is OutputFormat.ASCII_BITS:
         Path(path).write_text(s.to01())
     elif fmt is OutputFormat.WORDS32_LE:
-        if len(s) % 32:  # pack_words would drop the tail in silence
-            raise ValueError(f"words32le writes whole 32-bit words, but "
-                             f"{len(s)} bits is not a multiple of 32")
-        write_words_le(path, s.pack_words().words)
+        write_words_le(path, s.pack_words())
     elif fmt is OutputFormat.CSV:
         with open(path, "w") as fh:
             fh.write("n,bit\n")
@@ -174,5 +187,10 @@ def read_bits(path, fmt: OutputFormat) -> BitStream:
     if fmt is OutputFormat.WORDS32_LE:
         return BitStream.from_words(read_words_le(path))
     if fmt is OutputFormat.JSON:
-        return BitStream.from01(json.loads(Path(path).read_text())["bits"])
+        doc = json.loads(Path(path).read_text())
+        s = BitStream.from01(doc["bits"])
+        if doc.get("length") != len(s):
+            raise ValueError(f"{path} claims length {doc.get('length')}, "
+                             f"but holds {len(s)} bits")
+        return s
     raise ValueError(f"cannot read bits from format {fmt}")

@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from . import __version__
-from .bitstream import (BitStream, OutputFormat, read_bits, read_words_le,
-                        write_bits, write_words_le)
+from .bitstream import (BitStream, OutputFormat, check_whole_units, read_bits,
+                        read_words_le, write_bits, write_words_le)
 from .mt19937 import (MT19937, DEFAULT_SEED, lag_pairs_csv,
                       load_recurrence_matrices, recover_matrices,
                       scan_conditions_ab, verify_recurrence)
@@ -63,13 +63,6 @@ def _reject_given(args, message: str, keys: Sequence[str]) -> None:
         raise ValueError(f"{message} --" + ", --".join(given))
 
 
-def _check_whole_words(fmt: OutputFormat, n_bits: int) -> None:
-    """Whole words only: a padded last word would hold uncertified bits."""
-    if fmt is OutputFormat.WORDS32_LE and n_bits % 32:
-        raise ValueError(f"generate: --format words32le writes whole 32-bit "
-                         f"words, but {n_bits} bits is not a multiple of 32")
-
-
 def cmd_generate(args) -> int:
     if not args.seed_set:
         _reject_given(args, "generate: only --seed-set takes", _FAMILY_DEFAULTS)
@@ -94,7 +87,14 @@ def cmd_generate(args) -> int:
             raise ValueError("generate: --drop-prefix-bits must be at least 0 "
                              "and less than --per-seed-bits")
         fam = build_seed_set(b_val, c_val)
-        _check_whole_words(fmt, len(fam) * (per_seed - drop))
+    elif args.bits is None or args.bits < 1:
+        raise ValueError("generate: --bits must be at least 1")
+    n_bits = len(fam) * (per_seed - drop) if args.seed_set else args.bits
+    try:  # before any work: a padded last unit would hold uncertified bits
+        check_whole_units(fmt, n_bits)
+    except ValueError as exc:
+        raise ValueError(f"generate: --format {exc}") from None
+    if args.seed_set:
         jobs = [(m.as_tuple(), per_seed, drop) for m in fam.members]
         # a worker takes a few contiguous members per pickle round trip; they
         # are joined as they arrive, pairwise like a binary counter (runs halve
@@ -111,17 +111,12 @@ def cmd_generate(args) -> int:
         stream = runs.pop()
         while runs:  # the shortest first, so the whole stream is built once
             stream = runs.pop() + stream
+    elif args.resume:
+        _reject_given(args, "generate: --resume does not take", "bcd")
+        state = OrbitState.from_text(Path(args.resume).read_text())
+        stream, final = generate_bits(state, n_bits)
     else:
-        if args.bits is None or args.bits < 1:
-            raise ValueError("generate: --bits must be at least 1")
-        _check_whole_words(fmt, args.bits)
-        if args.resume:
-            _reject_given(args, "generate: --resume does not take", "bcd")
-            state: OrbitState | CoeffTriple = OrbitState.from_text(
-                Path(args.resume).read_text())
-        else:
-            state = _triple_from_args(args)
-        stream, final = generate_bits(state, args.bits)
+        stream, final = generate_bits(_triple_from_args(args), n_bits)
     if out_path == "-":
         sys.stdout.write(stream.to01() + "\n")
     else:

@@ -28,6 +28,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .bitstream import as_words32
 from .gf2 import Gf2Matrix32, solve_linear_system
 
 N = 624
@@ -89,17 +90,12 @@ def load_recurrence_matrices() -> Tuple[Gf2Matrix32, Gf2Matrix32]:
 
 def _as_words(outputs: Sequence[int] | np.ndarray) -> np.ndarray:
     """At least N + 1 32-bit words as a uint32 array."""
-    try:
-        arr = np.asarray(outputs, dtype=np.uint64)
-    except OverflowError:  # a Python int outside [0, 2^64)
-        arr = None
-    if arr is None or arr.size and arr.max() > MASK32:
-        raise ValueError("outputs must be 32-bit words")
+    arr = as_words32(outputs)
     if arr.ndim != 1:
         raise ValueError("outputs must be one-dimensional")
     if arr.size < N + 1:
         raise ValueError(f"need at least {N + 1} outputs, got {arr.size}")
-    return arr.astype(np.uint32)
+    return arr
 
 
 def _matvec_bulk(m: Gf2Matrix32, words: np.ndarray) -> np.ndarray:

@@ -165,11 +165,14 @@ class OrbitState:
         lines = [ln.strip() for ln in text.strip().splitlines()]
         if not lines or lines[0] != STATE_FORMAT:
             raise ValueError("unrecognized orbit state header")
-        fields = {}
+        names, fields = {"b", "c", "d", "step"}, {}
         for ln in lines[1:]:
             key, _, value = ln.partition(" ")
+            if key not in names or key in fields:
+                raise ValueError(f"orbit state has an unknown or repeated "
+                                 f"field {key[:40]!r}")
             fields[key] = _int_from_text(value)
-        missing = {"b", "c", "d", "step"} - fields.keys()
+        missing = names - fields.keys()
         if missing:
             raise ValueError(f"orbit state missing fields: {sorted(missing)}")
         if fields["step"] < 0:

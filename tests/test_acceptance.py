@@ -135,7 +135,7 @@ def test_criterion_6_lag_coincidence_contrast(cubic_run):
         assert abs(len(pairs) - mu) <= 6 * sigma
 
         bits, _state = cubic_run
-        words = bits.pack_words().words
+        words = bits.pack_words()
         assert len(words) == (312_500 if ACCEPT_FULL else 31_250)
         cpairs = scan_conditions_ab(words, a, b)
         mu_c = (len(words) - 624) / 512

@@ -59,7 +59,7 @@ class TestGenerate:
                              "--format", "words32le", "--out", str(out))
         assert code == 0
         expect, _ = generate_bits(validate_triple(0, 1, -1), 96)
-        assert np.array_equal(read_words_le(out), expect.pack_words().words)
+        assert np.array_equal(read_words_le(out), expect.pack_words())
 
     def test_checkpoint_resume_equals_straight_run(self, tmp_path, capsys):
         ck = tmp_path / "state.txt"
@@ -91,6 +91,25 @@ class TestGenerate:
             assert err == f"error: generate: --resume does not take {named}\n"
         assert not out_file.exists() and not ck2.exists()
 
+    @pytest.mark.parametrize("extra, key", [
+        ("b 5", "b"), ("step 40", "step"), ("seed 7", "seed")],
+        ids=["repeated-b", "repeated-step", "unknown"])
+    def test_resume_rejects_repeated_or_unknown_fields(self, tmp_path, capsys,
+                                                       monkeypatch, extra, key):
+        # a second b line once resumed from (5, c, d) and exited 0
+        ck = tmp_path / "ck.txt"
+        text = generate_bits(validate_triple(0, 1, -1), 40)[1].to_text()
+        ck.write_text(text.replace("step", f"{extra}\nstep"))
+        monkeypatch.setattr(cli, "generate_bits", None)  # no work may start
+        out_file, ck2 = tmp_path / "bits.txt", tmp_path / "ck2.txt"
+        code, out, err = run_cli(capsys, "generate", "--resume", str(ck),
+                                 "--bits", "64", "--format", "ascii",
+                                 "--out", str(out_file), "--checkpoint", str(ck2))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: orbit state has an unknown or repeated field {key!r}\n"
+        assert not out_file.exists() and not ck2.exists()
+
     def test_tampered_checkpoint_diverges_with_first_mismatch(self, tmp_path, capsys):
         ck = tmp_path / "state.txt"
         run_cli(capsys, "generate", "--b", "0", "--c", "1", "--d", "-1",
@@ -112,8 +131,9 @@ class TestGenerate:
 
     def test_seed_set_pipeline_order_and_trimming(self, tmp_path, capsys):
         # byte-aligned members, then members of 97 and 45 bits, which the
-        # join must shift into place
-        for c, per_seed, drop in ((3, 64, 8), (8, 100, 3), (5, 45, 0)):
+        # join must shift into place (as ascii: raw writes whole bytes only)
+        for c, per_seed, drop, fmt in ((3, 64, 8, "raw"), (8, 100, 3, "ascii"),
+                                       (5, 45, 0, "ascii")):
             n = per_seed - drop
             ds = range(-1, -c - 1, -1)
             want = BitStream([])
@@ -122,14 +142,15 @@ class TestGenerate:
                 want = want + bits[drop:]
             files = []
             for jobs in ("1", "2"):
-                out = tmp_path / f"fam_{c}_{jobs}.raw"
+                out = tmp_path / f"fam_{c}_{jobs}.{fmt}"
                 code, _, _ = run_cli(capsys, "generate", "--seed-set", f"0,{c}",
                                      "--per-seed-bits", str(per_seed),
                                      "--drop-prefix-bits", str(drop),
-                                     "--jobs", jobs, "--out", str(out))
+                                     "--jobs", jobs, "--format", fmt,
+                                     "--out", str(out))
                 assert code == 0
                 files.append(out.read_bytes())
-                got = BitStream.from_bytes(files[-1], c * n)
+                got = read_bits(out, OutputFormat(fmt))
                 assert got == want
                 for i, d in enumerate(ds):  # each member against the bisection
                     whole = bisect_prefix(validate_triple(0, c, d), per_seed)
@@ -198,6 +219,25 @@ class TestGenerate:
                        f"of 32\n")
         assert not out_file.exists() and not ck.exists()
 
+    @pytest.mark.parametrize("argv, n_bits", [
+        (["--b", "0", "--c", "1", "--d", "-1", "--bits", "12"], 12),
+        (["--b", "0", "--c", "1", "--d", "-1", "--bits", "1"], 1),
+        (["--seed-set", "0,7", "--per-seed-bits", "100"], 476)],
+        ids=["bits-12", "bits-1", "seed-set"])
+    def test_raw_needs_whole_bytes(self, tmp_path, capsys, monkeypatch,
+                                   argv, n_bits):
+        monkeypatch.setattr(cli, "generate_bits", None)  # no work may start
+        out_file, ck = tmp_path / "b.raw", tmp_path / "ck.txt"
+        extra = [] if "--seed-set" in argv else ["--checkpoint", str(ck)]
+        for fmt in (["--format", "raw"], []):  # raw is the default
+            code, out, err = run_cli(capsys, "generate", *argv, *extra, *fmt,
+                                     "--out", str(out_file))
+            assert code == 2
+            assert out == ""
+            assert err == (f"error: generate: --format raw writes whole bytes, "
+                           f"but {n_bits} bits is not a multiple of 8\n")
+        assert not out_file.exists() and not ck.exists()
+
     def test_seed_set_words_of_whole_words(self, tmp_path, capsys):
         out = tmp_path / "w.bin"
         code, _, _ = run_cli(capsys, "generate", "--seed-set", "0,4",
@@ -208,7 +248,7 @@ class TestGenerate:
                   for d in (-1, -2, -3, -4)]
         want = chunks[0] + chunks[1] + chunks[2] + chunks[3]
         assert len(want) == 256
-        assert np.array_equal(read_words_le(out), want.pack_words().words)
+        assert np.array_equal(read_words_le(out), want.pack_words())
 
     @pytest.mark.parametrize("given, named", [
         (["--b", "0", "--c", "1", "--d", "-1"], "--b, --c, --d"),
@@ -476,7 +516,7 @@ class TestMt:
     def test_scan_file_source(self, tmp_path, capsys):
         bits, _ = generate_bits(validate_triple(0, 1, -1), 700 * 32)
         words_path = tmp_path / "cubic.bin"
-        write_words_le(words_path, bits.pack_words().words)
+        write_words_le(words_path, bits.pack_words())
         code, out, _ = run_cli(capsys, "mt", "scan", "--source", "file",
                                "--in", str(words_path))
         assert code == 0

@@ -11,8 +11,8 @@ from decimal import Decimal
 
 import pytest
 
-from cubicorbit import (ConditionViolation, OrbitState, generate_bits, jump,
-                        shifted, validate_triple)
+from cubicorbit import (ConditionViolation, OrbitState, build_seed_set,
+                        generate_bits, jump, shifted, validate_triple)
 from cubicorbit import orbit
 from cubicorbit.cli import main
 from cubicorbit.orbit import _int_from_text
@@ -42,6 +42,13 @@ class TestJump:
             m, after = jump(resumed, n)
             assert (m, after) == step_loop(resumed, n), n
             assert m == bisect_prefix(resumed, n), n
+
+    def test_paper_family_matches_the_bisection(self):
+        # acceptance criterion 1 checks this family against isolate_root_bits,
+        # which runs jump() as well; the bisection shares no code with it
+        for member in build_seed_set(0, 1001).members:
+            assert generate_bits(member, 256)[0].value == \
+                bisect_prefix(member, 256), member
 
     def test_matches_references_on_small_triples(self):
         # every triple in the box whose first step has k = 1 and whose

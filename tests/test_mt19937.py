@@ -184,7 +184,7 @@ class TestRecurrence:
     def test_fails_on_cubic_generator_words(self):
         a, b = load_recurrence_matrices()
         bits, _ = generate_bits(validate_triple(0, 1, -1), 650 * 32)
-        words = bits.pack_words().words
+        words = bits.pack_words()
         check = verify_recurrence(words, a, b)
         assert not check.ok
         assert check.first_violation is not None
@@ -228,6 +228,21 @@ class TestRecovery:
     @pytest.mark.parametrize("bad", [1 << 40, 1 << 32, -1, 1 << 64])
     def test_rejects_words_wider_than_32_bits(self, bad):
         words = [int(w) for w in MT19937().generate(2000)] + [bad]
+        a, b = load_recurrence_matrices()
+        for check in (recover_matrices, lambda w: verify_recurrence(w, a, b),
+                      lambda w: scan_conditions_ab(w, a, b)):
+            with pytest.raises(ValueError, match="32-bit words") as exc:
+                check(words)
+            assert not isinstance(exc.value, RankDeficient)
+
+    @pytest.mark.parametrize("cast", [
+        lambda w: w.astype(float), lambda w: w.astype(float) + 0.5,
+        lambda w: w % 2 == 1, lambda w: w.astype(object),
+        lambda w: [float(x) for x in w]],
+        ids=["float", "float-half", "bool", "object", "float-list"])
+    def test_rejects_words_that_are_not_integers(self, cast):
+        # float words + 0.5 were truncated and once read ok=True
+        words = cast(MT19937().generate(2000))
         a, b = load_recurrence_matrices()
         for check in (recover_matrices, lambda w: verify_recurrence(w, a, b),
                       lambda w: scan_conditions_ab(w, a, b)):

@@ -6,7 +6,7 @@ import pytest
 from cubicorbit import (BitStream, ConditionViolation, OrbitState,
                         OutputFormat, generate_bits, inverse_step,
                         isolate_root_bits, step, validate_triple)
-from cubicorbit.bitstream import write_bits
+from cubicorbit.bitstream import read_bits, write_bits
 from conftest import bisect_prefix, random_triple
 
 
@@ -165,6 +165,12 @@ class TestStateSerialization:
         with pytest.raises(ValueError):
             OrbitState.from_text("cubicorbit-orbit-state 1\nb 0\nc 1\nstep 0\n")
 
+    @pytest.mark.parametrize("extra", ["b 5", "step 0", "e 1", "b1"])
+    def test_rejects_repeated_or_unknown_fields(self, extra):
+        text = f"cubicorbit-orbit-state 1\nb 0\nc 1\nd -1\n{extra}\nstep 0\n"
+        with pytest.raises(ValueError, match="unknown or repeated field"):
+            OrbitState.from_text(text)
+
     def test_rejects_invalid_triple(self):
         with pytest.raises(ConditionViolation):
             OrbitState.from_text("cubicorbit-orbit-state 1\nb 0\nc 1\nd 1\nstep 0\n")
@@ -173,27 +179,40 @@ class TestStateSerialization:
 class TestPackWords:
     def test_all_ones_word(self):
         res = BitStream([1] * 32).pack_words()
-        assert list(res.words) == [0xFFFFFFFF]
-        assert res.dropped_bits == 0
+        assert list(res) == [0xFFFFFFFF]
 
     def test_lsb_word(self):
         res = BitStream([0] * 31 + [1]).pack_words()
-        assert list(res.words) == [1]
+        assert list(res) == [1]
 
     def test_msb_first_prefix(self):
         res = BitStream.from01("10101110" + "0" * 24).pack_words()
-        assert list(res.words) == [0xAE000000]
+        assert list(res) == [0xAE000000]
 
     def test_remainder_dropped_and_counted(self):
-        res = BitStream([1] * 70).pack_words()
-        assert len(res.words) == 2
-        assert res.dropped_bits == 6
+        with pytest.raises(ValueError, match="70 bits is not a multiple of 32"):
+            BitStream([1] * 70).pack_words()
 
     def test_words_round_trip(self):
         rng = np.random.default_rng(7)
         bits = BitStream(rng.integers(0, 2, size=320, dtype=np.uint8))
         res = bits.pack_words()
-        assert BitStream.from_words(res.words) == bits
+        assert BitStream.from_words(res) == bits
+
+    @pytest.mark.parametrize("words", [
+        [1.5], [1.0], [True], np.array([7], dtype=object), np.array([0.0]),
+        [1 << 32], [-1], np.array([1 << 32]), np.array([-1], dtype=np.int8)],
+        ids=["float", "float-whole", "bool", "object", "float-array",
+             "wide", "negative", "wide-array", "negative-array"])
+    def test_from_words_takes_only_32_bit_integers(self, words):
+        with pytest.raises(ValueError, match="32-bit words"):
+            BitStream.from_words(words)
+
+    def test_from_words_takes_any_integer_dtype(self):
+        for words in ([0xAE000000, 1], np.array([0xAE000000, 1], dtype=np.int64),
+                      np.array([0xAE000000, 1], dtype=">u4"), iter([0xAE000000, 1])):
+            assert BitStream.from_words(words).to01() == "10101110" + "0" * 55 + "1"
+        assert BitStream.from_words([]) == BitStream([])
 
     @pytest.mark.parametrize("n_bits", [31, 33, 70])
     def test_word_file_needs_whole_words(self, tmp_path, n_bits):
@@ -201,6 +220,23 @@ class TestPackWords:
         with pytest.raises(ValueError, match=f"{n_bits} bits is not a multiple"):
             write_bits(path, BitStream([1] * n_bits), OutputFormat.WORDS32_LE)
         assert not path.exists()
+
+
+    def test_one_unit_per_format(self, tmp_path):
+        # raw writes whole bytes, words32le whole words, the rest any count
+        units = {OutputFormat.RAW_PACKED_BITS: 8, OutputFormat.WORDS32_LE: 32}
+        for fmt in OutputFormat:
+            unit = units.get(fmt, 1)
+            for n in (1, 7, 8, 12, 24, 31, 32, 64, 70):
+                path = tmp_path / f"{fmt.value}_{n}"
+                if n % unit:
+                    with pytest.raises(ValueError, match=f"{fmt.value} writes "
+                                       f"whole .*, but {n} bits is not a "
+                                       f"multiple of {unit}$"):
+                        write_bits(path, BitStream([1] * n), fmt)
+                else:
+                    write_bits(path, BitStream([1] * n), fmt)
+                assert path.exists() == (n % unit == 0)
 
 
 class TestBitStream:
@@ -261,11 +297,13 @@ class TestBitStream:
         assert BitStream.from_bytes(raw, n) == s
         padded = BitStream.from_bytes(raw)
         assert np.array_equal(padded.bits, np.unpackbits(np.frombuffer(raw, np.uint8)))
-        res = s.pack_words()
-        whole = n - n % 32
-        assert res.dropped_bits == n % 32
-        assert np.array_equal(res.words, np.packbits(ref[:whole]).view(">u4"))
-        assert np.array_equal(BitStream.from_words(res.words).bits, ref[:whole])
+        if n % 32:
+            with pytest.raises(ValueError, match=f"{n} bits is not a multiple"):
+                s.pack_words()
+        else:
+            res = s.pack_words()
+            assert np.array_equal(res, np.packbits(ref).view(">u4"))
+            assert np.array_equal(BitStream.from_words(res).bits, ref)
         assert not s.bits.flags.writeable and s.bits is s.bits  # unpacked once
 
     @pytest.mark.parametrize("n", LENGTHS)
@@ -287,6 +325,18 @@ class TestBitStream:
         for i in (n, -n - 1):
             with pytest.raises(IndexError):
                 s[i]
+
+    @pytest.mark.parametrize("doc", ['{"length": 99, "bits": "1011"}',
+                                     '{"length": 3, "bits": "1011"}',
+                                     '{"bits": "1011"}'],
+                             ids=["longer", "shorter", "missing"])
+    def test_json_holds_the_length_it_claims(self, tmp_path, doc):
+        path = tmp_path / "b.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError, match="claims length"):
+            read_bits(path, OutputFormat.JSON)
+        path.write_text('{"length": 4, "bits": "1011"}')
+        assert read_bits(path, OutputFormat.JSON) == BitStream.from01("1011")
 
     def test_equality_needs_the_same_length(self):
         s = BitStream.from01("0101")
