@@ -16,7 +16,8 @@ from cubicorbit import (OrbitState, generate_bits, isolate_root_bits,
 # x^3 + x - 1 has its real root at alpha = 0.6823278...
 seed = validate_triple(0, 1, -1)
 print("seed triple:", seed.as_tuple())
-print("root enclosure:", refine_to_resolution(seed, 40))
+m = refine_to_resolution(seed, 40)  # alpha in [m/2^40, (m+1)/2^40], certified
+print(f"root enclosure: [{m}/2^40, {m + 1}/2^40], alpha ~ {m / 2**40:.12f}")
 
 # --- watch the first few exact steps ----------------------------------
 # Each step shifts coefficients left by 1-3 bits (and adds small
@@ -30,7 +31,7 @@ for n in range(6):
 
 # --- bulk generation (one certified jump) and the cross-check ----------
 bits, state = generate_bits(seed, 64)
-expansion, interval = isolate_root_bits(seed, 64)
+expansion, _ = isolate_root_bits(seed, 64)
 print("\ngenerated :", bits.to01())
 print("root bits :", expansion)
 print("agree     :", bits.to01() == expansion)

@@ -5,8 +5,9 @@ The package has three legs:
 * the generator itself: the doubling map on coefficient triples, one
   step or a certified jump at a time, plus seed-family construction and
   audits,
-* an exact root oracle: certified dyadic intervals that recover the same
-  bits as the binary expansion of the represented cubic irrational,
+* an exact root oracle: the first k binary digits of the represented
+  cubic irrational as an integer m, certified by integer signs to put
+  the root in [m / 2^k, (m+1) / 2^k], the same bits the generator emits,
 * analysis tooling: a reference MT19937 with its GF(2) lag recurrence,
   and a small statistical test battery.
 """
@@ -18,9 +19,8 @@ from .mt19937 import (MT19937, LagPair, RankDeficient, RecurrenceCheck,
                       scan_conditions_ab, temper, untemper,
                       verify_recurrence)
 from .orbit import (CoeffTriple, ConditionViolation, OrbitState,
-                    generate_bits, inverse_step, jump, shifted, step,
-                    validate_triple)
-from .roots import RootInterval, isolate_root_bits, refine_to_resolution
+                    generate_bits, inverse_step, isolate_root_bits, jump,
+                    refine_to_resolution, shifted, step, validate_triple)
 from .seeds import (DistinctnessReport, GapEntry, GapReport, InvalidShape,
                     KernelInfo, MergerAudit, MergerCollision, PrecisionTooLow,
                     SeedSet, SourceReason, build_seed_set,
@@ -39,7 +39,7 @@ __all__ = [
     "temper", "untemper", "verify_recurrence",
     "CoeffTriple", "ConditionViolation", "OrbitState", "generate_bits",
     "inverse_step", "jump", "shifted", "step", "validate_triple",
-    "RootInterval", "isolate_root_bits", "refine_to_resolution",
+    "isolate_root_bits", "refine_to_resolution",
     "DistinctnessReport", "GapEntry", "GapReport", "InvalidShape",
     "KernelInfo", "MergerAudit", "MergerCollision", "PrecisionTooLow",
     "SeedSet", "SourceReason", "build_seed_set", "field_distinctness_check",

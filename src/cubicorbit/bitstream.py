@@ -11,8 +11,8 @@ A packed format writes whole units only: `raw` whole bytes, `words32le`
 whole 32-bit words; the other formats write single bits. `write_bits`
 and `BitStream.pack_words` raise ValueError, through `check_whole_units`,
 for a bit count that would leave a partial last unit: padding it would
-emit bits no certificate covers. A `json` file carries its length, and
-`read_bits` checks it.
+emit bits no certificate covers. A `json` file is an object with an
+int `length` and a 0/1 string `bits`, and `read_bits` checks both.
 """
 
 from __future__ import annotations
@@ -188,9 +188,12 @@ def read_bits(path, fmt: OutputFormat) -> BitStream:
         return BitStream.from_words(read_words_le(path))
     if fmt is OutputFormat.JSON:
         doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict) or not isinstance(doc.get("bits"), str):
+            raise ValueError(f"{path} is not a JSON object with string bits")
         s = BitStream.from01(doc["bits"])
-        if doc.get("length") != len(s):
-            raise ValueError(f"{path} claims length {doc.get('length')}, "
+        length = doc.get("length")
+        if type(length) is not int or length != len(s):  # not True, not 1.0
+            raise ValueError(f"{path} claims length {length!r}, "
                              f"but holds {len(s)} bits")
         return s
     raise ValueError(f"cannot read bits from format {fmt}")

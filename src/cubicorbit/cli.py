@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -29,8 +30,7 @@ from .mt19937 import (MT19937, DEFAULT_SEED, lag_pairs_csv,
                       load_recurrence_matrices, recover_matrices,
                       scan_conditions_ab, verify_recurrence)
 from .orbit import (CoeffTriple, ConditionViolation, OrbitState,
-                    generate_bits, validate_triple)
-from .roots import RootInterval, isolate_root_bits
+                    generate_bits, isolate_root_bits, shifted, validate_triple)
 from .seeds import (build_seed_set, field_distinctness_check, gap_report,
                     is_source_point, merger_audit)
 from .stats import run_suite
@@ -67,6 +67,9 @@ def cmd_generate(args) -> int:
     if not args.seed_set:
         _reject_given(args, "generate: only --seed-set takes", _FAMILY_DEFAULTS)
     out_path = args.out or "-"
+    if (args.checkpoint and out_path != "-"
+            and Path(args.checkpoint).resolve() == Path(out_path).resolve()):
+        raise ValueError("generate: --out and --checkpoint name the same file")
     fmt = OutputFormat(args.format)
     if out_path == "-" and fmt is not OutputFormat.ASCII_BITS:
         raise ValueError("generate: only --format ascii can write to stdout")
@@ -76,6 +79,8 @@ def cmd_generate(args) -> int:
             for k, default in _FAMILY_DEFAULTS.items())
         if n_jobs < 1:
             raise ValueError("generate: --jobs must be at least 1")
+        # the pool forks all its workers at once: no more than there are CPUs
+        n_jobs = min(n_jobs, os.cpu_count() or 1)
         _reject_given(args, "generate: --seed-set does not take",
                       ("b", "c", "d", "bits", "resume", "checkpoint"))
         try:
@@ -132,10 +137,10 @@ def cmd_verify(args) -> int:
         raise ValueError("verify: --bits must be at least 1")
     triple = _triple_from_args(args)
     got = generate_bits(triple, args.bits)[0].value
-    try:  # the shifted-triple certificate, independent of how m was found
-        RootInterval(got, args.bits, triple)
+    try:  # the shifted-triple certificate, independent of how got was found
+        shifted(triple, got, args.bits)
     except ConditionViolation:
-        expected = isolate_root_bits(triple, args.bits)[1].m
+        expected = isolate_root_bits(triple, args.bits)[1]
         first = args.bits - (got ^ expected).bit_length()
         print(f"fail: first mismatch at bit {first}")
         return EXIT_FAIL

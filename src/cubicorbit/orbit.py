@@ -33,6 +33,10 @@ certifying every step that way, at a few big multiplications and one
 division per doubling against O(n^2) for n single steps. step() is the
 one-bit reference the tests compare jump() with; seeds.merger_audit
 confirms collisions with it and walks chains back with inverse_step().
+
+The root oracle, isolate_root_bits() and refine_to_resolution(), returns
+that m: alpha lies in [m / 2^k, (m+1) / 2^k]. It re-checks m with
+shifted(), whatever found it; no end is ever an exact root.
 """
 
 from __future__ import annotations
@@ -238,6 +242,23 @@ def jump(t: CoeffTriple, n: int) -> Tuple[int, CoeffTriple]:
         b, c, d = b1, c1, d1
         left -= k
     return int(m), CoeffTriple(int(b), int(c), int(d))
+
+
+def isolate_root_bits(t: CoeffTriple, k: int) -> Tuple[str, int]:
+    """The first k binary digits of alpha, as 0/1 text and as the integer m.
+
+    alpha lies in [m / 2^k, (m+1) / 2^k]: shifted(t, m, k) certifies it.
+    """
+    m = jump(t, k)[0]  # jump rejects a negative k
+    shifted(t, m, k)
+    return BitStream.from_int(m, k).to01(), m
+
+
+def refine_to_resolution(t: CoeffTriple, eps_exponent: int) -> int:
+    """m with alpha in [m / 2^e, (m+1) / 2^e] for e = eps_exponent >= 1."""
+    if eps_exponent < 1:
+        raise ValueError("eps_exponent must be at least 1")
+    return isolate_root_bits(t, eps_exponent)[1]
 
 
 def generate_bits(seed: Union[CoeffTriple, OrbitState],

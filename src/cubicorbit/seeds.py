@@ -22,8 +22,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .orbit import CoeffTriple, inverse_step, step, validate_triple
-from .roots import refine_to_resolution
+from .orbit import (CoeffTriple, inverse_step, refine_to_resolution, step,
+                    validate_triple)
 
 
 class InvalidShape(ValueError):
@@ -142,7 +142,7 @@ def gap_report(s: SeedSet, precision: int) -> GapReport:
     if precision < 32:
         raise ValueError("precision must be at least 32 bits")
     c, one = s.c, 1 << precision
-    ms = [refine_to_resolution(t, precision).m for t in s.members]
+    ms = [refine_to_resolution(t, precision) for t in s.members]
     gaps: List[GapEntry] = []
     max_dev = 0  # in units of 2^-precision
     # upper member has d, lower member has d-1 and the larger root

@@ -5,7 +5,7 @@ import pytest
 
 from cubicorbit import (BitStream, MT19937, ConditionViolation, OrbitState,
                         OutputFormat, generate_bits, jump, validate_triple)
-from cubicorbit import cli, orbit, roots
+from cubicorbit import cli, orbit
 from cubicorbit.bitstream import read_bits, read_words_le, write_words_le
 from cubicorbit.cli import main
 from conftest import bisect_prefix
@@ -325,6 +325,64 @@ class TestGenerate:
         assert err == "error: generate: --jobs must be at least 1\n"
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("cpus, workers", [(2, [2]), (1, []), (None, [])],
+                             ids=["two-cpus", "one-cpu", "unknown"])
+    def test_jobs_capped_at_the_cpu_count(self, tmp_path, capsys, monkeypatch,
+                                          cpus, workers):
+        asked, chunks = [], []
+
+        class InProcessPool:  # records the pool size, forks nothing
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                chunks.append(chunksize)
+                return map(fn, jobs)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        family = ["generate", "--seed-set", "0,40", "--per-seed-bits", "64"]
+        serial, wide = tmp_path / "serial.raw", tmp_path / "wide.raw"
+        assert run_cli(capsys, *family, "--jobs", "1",
+                       "--out", str(serial))[0] == 0
+        assert asked == []
+        assert run_cli(capsys, *family, "--jobs", "64",
+                       "--out", str(wide))[0] == 0
+        assert asked == workers
+        # 40 members in chunks of 40 / (4 * 2), not of 40 / (4 * 64)
+        assert chunks == [5] * len(workers)
+        assert wide.read_bytes() == serial.read_bytes()
+
+    def test_out_and_checkpoint_must_differ(self, tmp_path, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(cli, "generate_bits", None)  # no work may start
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "generate", "--b", "0", "--c", "1",
+                                 "--d", "-1", "--bits", "64", "--out",
+                                 "same.bin", "--checkpoint",
+                                 str(tmp_path / "." / "same.bin"))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: generate: --out and --checkpoint name "
+                       "the same file\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_resume_may_overwrite_its_checkpoint(self, tmp_path, capsys):
+        ck, out_file = tmp_path / "ck.txt", tmp_path / "tail.raw"
+        src = ["generate", "--bits", "64", "--out", str(out_file)]
+        assert run_cli(capsys, *src, "--b", "0", "--c", "1", "--d", "-1",
+                       "--checkpoint", str(ck))[0] == 0
+        assert run_cli(capsys, *src, "--resume", str(ck),
+                       "--checkpoint", str(ck))[0] == 0
+        assert OrbitState.from_text(ck.read_text()).step_index == 128
+        whole, _ = generate_bits(validate_triple(0, 1, -1), 128)
+        assert read_bits(out_file, OutputFormat.RAW_PACKED_BITS) == whole[64:]
+
 
 class TestVerify:
     def test_pass(self, capsys):
@@ -371,7 +429,6 @@ class TestVerify:
             calls.append(n)
             return jump(t, n)
         monkeypatch.setattr(orbit, "jump", counted)
-        monkeypatch.setattr(roots, "jump", counted)
         code, out, _ = run_cli(capsys, "verify", "--b", "0", "--c", "1",
                                "--d", "-1", "--bits", "512")
         assert code == 0

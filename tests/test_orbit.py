@@ -139,10 +139,10 @@ class TestGenerate:
             t = random_triple(rng, c_max=5000)
             k = rng.choice([1, 2, 63, 64, 65, 511, 512])
             bits, _ = generate_bits(t, k)
-            expansion, interval = isolate_root_bits(t, k)
+            expansion, m = isolate_root_bits(t, k)
             assert bits.to01() == expansion
             assert int(bits.to01(), 2) == bisect_prefix(t, k)  # no jump
-            assert interval.width().denominator == 1 << k
+            assert m == int(expansion, 2)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -337,6 +337,18 @@ class TestBitStream:
             read_bits(path, OutputFormat.JSON)
         path.write_text('{"length": 4, "bits": "1011"}')
         assert read_bits(path, OutputFormat.JSON) == BitStream.from01("1011")
+
+    @pytest.mark.parametrize("doc", ['{"length": 4}', '[1]', '"01"',
+                                     '{"length": 1, "bits": 5}',
+                                     '{"length": true, "bits": "1"}',
+                                     '{"length": 1.0, "bits": "1"}'],
+                             ids=["no-bits", "list", "string", "int-bits",
+                                  "bool-length", "float-length"])
+    def test_json_of_the_wrong_shape_is_a_value_error(self, tmp_path, doc):
+        path = tmp_path / "b.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError):
+            read_bits(path, OutputFormat.JSON)
 
     def test_equality_needs_the_same_length(self):
         s = BitStream.from01("0101")
