@@ -106,10 +106,14 @@ class BitStream:
         return cls.from_bytes(as_words32(words).astype(">u4").tobytes())
 
     @functools.cached_property
+    def packed(self) -> np.ndarray:
+        """Read-only uint8 view of `to_bytes()`, packed on first use."""
+        return np.frombuffer(self.to_bytes(), dtype=np.uint8)
+
+    @functools.cached_property
     def bits(self) -> np.ndarray:
         """Read-only uint8 view, one 0/1 byte per bit, unpacked on first use."""
-        raw = np.frombuffer(self.to_bytes(), dtype=np.uint8)
-        arr = np.unpackbits(raw, count=self.length)
+        arr = np.unpackbits(self.packed, count=self.length)
         arr.setflags(write=False)
         return arr
 

@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="run the randomness test battery")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=["raw", "ascii", "words32le"],
+    p.add_argument("--format", choices=["ascii", "json", "raw", "words32le"],
                    default="raw")
     p.add_argument("--alpha", type=float, default=0.01)
     p.set_defaults(fn=cmd_stats)

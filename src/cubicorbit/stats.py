@@ -17,8 +17,13 @@ over many runs, SP 800-22 section 4.2) are not implemented yet. Every
 function is pure, so callers may fan tests out over a shared sequence
 freely.
 
-The pattern tests (serial, approximate entropy) build one histogram of
-overlapping windows and fold it to the shorter pattern lengths.
+Every kernel reads the stream packed, never one byte per bit: popcounts
+of its integer `value` for monobit and runs, and per-byte tables over
+its bytes (`BitStream.packed`) for block frequency, longest run and
+cumulative sums. The pattern tests (serial, approximate entropy) count
+the cyclic overlapping windows from wide words read at each byte, and
+fold that histogram to the shorter pattern lengths; run_suite builds one
+histogram at the serial length and shares it with approximate entropy.
 """
 
 from __future__ import annotations
@@ -58,19 +63,41 @@ def _report(name: str, statistic: float, p_value: float, alpha: float,
                       bool(p_value >= alpha), alpha, params)
 
 
-def _as_bits(s: BitsLike, minimum: int, test: str) -> np.ndarray:
-    bits = BitStream(s).bits
-    if bits.size < minimum:
-        raise InputTooShort(f"{test} needs at least {minimum} bits, got {bits.size}")
-    return bits
+def _stream(s: BitsLike, minimum: int, test: str) -> BitStream:
+    s = BitStream(s)
+    if len(s) < minimum:
+        raise InputTooShort(f"{test} needs at least {minimum} bits, got {len(s)}")
+    return s
+
+
+def _cumsum(x: np.ndarray, n: int) -> np.ndarray:
+    """Running sum of x, in int32 while the n-bit input bounds every sum."""
+    return np.cumsum(x, dtype=np.int32 if n < 1 << 31 else np.int64)
+
+
+# per-byte tables, indexed by the byte; _BYTE_BITS[b] is b's bits MSB first
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+# the ones among a byte's top r bits are those of b & _TOP_BITS[r]
+_TOP_BITS = (0xFF00 >> np.arange(8)).astype(np.uint8)
+# runs of ones: leading, trailing, and the longest anywhere in the byte
+_LEAD = _BYTE_BITS.cumprod(axis=1).sum(axis=1).astype(np.uint8)
+_TRAIL = _BYTE_BITS[:, ::-1].cumprod(axis=1).sum(axis=1).astype(np.uint8)
+_LAST_ZERO = np.maximum.accumulate(np.where(_BYTE_BITS, -1, np.arange(8)), axis=1)
+_INNER = (np.arange(8) - _LAST_ZERO).max(axis=1).astype(np.uint8)
+# the +1/-1 walk: its partial sums after each bit of the byte, its net
+# step, and how far it rises above and falls below its end inside the byte
+_PARTIAL = np.cumsum(2 * _BYTE_BITS.astype(np.int8) - 1, axis=1, dtype=np.int8)
+_NET = _PARTIAL[:, -1]
+_RISE = _PARTIAL.max(axis=1) - _NET
+_FALL = _NET - _PARTIAL.min(axis=1)
 
 
 def monobit(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Balance of ones and zeros over the whole sequence."""
     from scipy.special import erfc
-    bits = _as_bits(s, 100, "monobit")
-    n = bits.size
-    s_n = 2 * int(np.count_nonzero(bits)) - n
+    s = _stream(s, 100, "monobit")
+    n = len(s)
+    s_n = 2 * s.value.bit_count() - n
     statistic = abs(s_n) / math.sqrt(n)
     p = erfc(statistic / math.sqrt(2))
     return _report("monobit", statistic, p, alpha)
@@ -79,13 +106,20 @@ def monobit(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
 def block_frequency(s, m: int = 128, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Balance of ones within disjoint m-bit blocks."""
     from scipy.special import gammaincc
-    bits = _as_bits(s, 100, "block_frequency")
+    s = _stream(s, 100, "block_frequency")
     if m < 2:
         raise ValueError("block length must be at least 2")
-    n_blocks = bits.size // m
+    n_blocks = len(s) // m
     if n_blocks < 1:
         raise InputTooShort(f"block_frequency needs at least one {m}-bit block")
-    pi = bits[: n_blocks * m].reshape(n_blocks, m).mean(axis=1)
+    # the ones before bit k: those of the bytes before byte k // 8, plus
+    # those of its top k % 8 bits; a zero byte closes the data for k = n
+    data = np.append(s.packed, np.uint8(0))
+    ones = np.bitwise_count(data)
+    through = _cumsum(ones, len(s))
+    byte, r = np.divmod(np.arange(n_blocks + 1, dtype=np.int64) * m, 8)
+    before = through[byte] - ones[byte] + np.bitwise_count(data[byte] & _TOP_BITS[r])
+    pi = np.diff(before) / m
     chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
     p = gammaincc(n_blocks / 2.0, chi2 / 2.0)
     return _report("block_frequency", chi2, p, alpha, m=m, blocks=n_blocks)
@@ -94,10 +128,11 @@ def block_frequency(s, m: int = 128, alpha: float = DEFAULT_ALPHA) -> TestReport
 def runs(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Total count of maximal same-bit runs versus its expectation."""
     from scipy.special import erfc
-    bits = _as_bits(s, 100, "runs")
-    n = bits.size
-    pi = float(np.count_nonzero(bits)) / n
-    v_n = 1 + int(np.count_nonzero(np.diff(bits)))
+    s = _stream(s, 100, "runs")
+    n, v = len(s), s.value
+    pi = v.bit_count() / n
+    # bit k of v ^ (v >> 1) is set where bits k and k + 1 differ
+    v_n = 1 + ((v ^ (v >> 1)) & ((1 << (n - 1)) - 1)).bit_count()
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         # frequency prerequisite failed; the run count is meaningless
         return _report("runs", float(v_n), 0.0, alpha)
@@ -119,20 +154,25 @@ _LONGEST_RUN_TABLES = {
 def longest_run(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Distribution of the longest run of ones per block."""
     from scipy.special import gammaincc
-    bits = _as_bits(s, 128, "longest_run")
-    n = bits.size
+    s = _stream(s, 128, "longest_run")
+    n = len(s)
     m = 10000 if n >= 750000 else 128 if n >= 6272 else 8
     (lo, hi), pis = _LONGEST_RUN_TABLES[m]
-    n_blocks = n // m
-    # each block behind a zero sentinel, plus one closing zero: every run
-    # of ones is the gap between two consecutive zeros of one block, and
-    # the gaps of block k start at the sentinel k * (m + 1)
-    padded = np.zeros(n_blocks * (m + 1) + 1, dtype=np.uint8)
-    padded[:-1].reshape(n_blocks, m + 1)[:, 1:] = \
-        bits[: n_blocks * m].reshape(n_blocks, m)
-    zeros = np.flatnonzero(padded == 0)
-    sentinels = np.searchsorted(zeros, np.arange(n_blocks) * (m + 1))
-    longest = np.maximum.reduceat(np.diff(zeros), sentinels) - 1
+    n_blocks, width = n // m, m // 8  # every block size is whole bytes
+    blocks = s.packed[: n_blocks * width].reshape(n_blocks, width)
+    # each block behind a zero sentinel byte, plus one closing zero: a run
+    # of ones across bytes lies between two consecutive bytes that are not
+    # 0xFF, and the gaps of block k start at its sentinel k * (width + 1)
+    padded = np.zeros(n_blocks * (width + 1) + 1, dtype=np.uint8)
+    padded[:-1].reshape(n_blocks, width + 1)[:, 1:] = blocks
+    edges = np.flatnonzero(padded != 0xFF)
+    ends = padded[edges]
+    across = 8 * (np.diff(edges) - 1)
+    across += np.take(_TRAIL, ends[:-1])
+    across += np.take(_LEAD, ends[1:])
+    sentinels = np.searchsorted(edges, np.arange(n_blocks) * (width + 1))
+    longest = np.maximum(np.maximum.reduceat(across, sentinels),
+                         np.take(_INNER, blocks).max(axis=1))
     cats = np.clip(longest, lo, hi) - lo
     v = np.bincount(cats, minlength=hi - lo + 1).astype(np.float64)
     expected = np.asarray(pis) * n_blocks
@@ -141,54 +181,68 @@ def longest_run(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     return _report("longest_run", chi2, p, alpha, m=m, blocks=n_blocks)
 
 
-def _pattern_counts(bits: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the n overlapping m-bit windows, with wraparound padding.
+def _window_counts(s: BitStream, m: int) -> np.ndarray:
+    """Counts of the n cyclic m-bit windows: window i is bits i..i+m-1 mod n.
 
-    acc[i] holds the w-bit window at i, in the smallest unsigned type
-    that holds it. A width w grows to any w' <= 2w in one pass,
-    acc[i] << (w' - w) | the low w' - w bits of acc[i + w' - w], so m
-    takes about log2(m) passes.
+    The windows inside the stream are read from the big-endian 64-bit
+    word at each byte, shifted for each of the 8 bit offsets (m <= 57).
+    The at most m - 1 windows that wrap are read from the integer.
     """
-    n = bits.size
-    acc = np.resize(bits, n + m - 1)
-    w = 1
-    while w < m:
-        step = min(w, m - w)
-        wide = (np.uint8 if w + step <= 8 else
-                np.uint16 if w + step <= 16 else np.uint32)
-        wider = np.left_shift(acc[:acc.size - step], step, dtype=wide)
-        wider |= acc[step:] & ((1 << step) - 1)
-        acc, w = wider, w + step
-    return np.bincount(acc, minlength=1 << m)
+    n, mask = len(s), (1 << m) - 1
+    counts = np.zeros(1 << m, dtype=np.int64)
+    if n >= m:
+        buf = np.append(s.packed, np.zeros(7, dtype=np.uint8))
+        words = np.ndarray((n - m) // 8 + 1, dtype=">u8", buffer=buf,
+                           strides=(1,)).astype(np.uint64)
+        win = np.empty_like(words)
+        for offset in range(min(8, n - m + 1)):
+            k = (n - m - offset) // 8 + 1  # windows at this bit offset
+            np.right_shift(words[:k], 64 - m - offset, out=win[:k])
+            win[:k] &= mask
+            counts += np.bincount(win[:k].view(np.int64), minlength=1 << m)
+    # the wrapping windows start in the last t bits and run on into the
+    # first m - 1 bits of the cycle, which repeats the stream if n < m - 1
+    t = min(n, m - 1)
+    cycle, size = s.value, n
+    while size < m - 1:
+        cycle, size = (cycle << n) | s.value, size + n
+    ext = ((s.value & ((1 << t) - 1)) << (m - 1)) | (cycle >> (size - m + 1))
+    for i in range(t):
+        counts[(ext >> (t - 1 - i)) & mask] += 1
+    return counts
 
 
-def _fold(counts: np.ndarray) -> np.ndarray:
-    """The (m-1)-bit histogram from the m-bit one.
+def _fold(counts: np.ndarray, m: int) -> np.ndarray:
+    """The m-bit histogram from a longer one.
 
-    With wraparound the (m-1)-bit prefix of window i is window i, so
-    summing each pair of counts that share a prefix is exact.
+    With wraparound the m-bit prefix of window i is window i, so summing
+    the counts that share a prefix is exact.
     """
-    return counts.reshape(-1, 2).sum(axis=1)
+    return counts.reshape(1 << m, -1).sum(axis=1)
 
 
 def _psi_sq(counts: np.ndarray, n: int) -> float:
     return float(counts.size / n * np.sum(counts.astype(np.float64) ** 2) - n)
 
 
-def serial(s, m: int = 16, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
-    """Uniformity of overlapping m-bit patterns; two P-values per run."""
+def serial(s, m: int = 16, alpha: float = DEFAULT_ALPHA, *,
+           counts: np.ndarray | None = None) -> List[TestReport]:
+    """Uniformity of overlapping m-bit patterns; two P-values per run.
+
+    `counts`, the cyclic window histogram of s at m bits or more, saves
+    building it: run_suite shares one with approximate_entropy.
+    """
     from scipy.special import gammaincc
-    bits = _as_bits(s, 16, "serial")
+    s = _stream(s, 16, "serial")
     if m < 2:
         raise ValueError("pattern length must be at least 2")
-    if bits.size < 1 << (m + 2):
+    n = len(s)
+    if n < 1 << (m + 2):
         raise InputTooShort(f"serial with m={m} needs at least {1 << (m + 2)} bits")
-    n = bits.size
-    counts = _pattern_counts(bits, m)
-    psi_m = _psi_sq(counts, n)
-    counts = _fold(counts)
-    psi_m1 = _psi_sq(counts, n)
-    psi_m2 = _psi_sq(_fold(counts), n) if m > 2 else 0.0
+    if counts is None:
+        counts = _window_counts(s, m)
+    psi_m, psi_m1, psi_m2 = (_psi_sq(_fold(counts, k), n) if k else 0.0
+                             for k in (m, m - 1, m - 2))
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
     p1 = gammaincc(2 ** (m - 2), d1 / 2.0)
@@ -200,16 +254,20 @@ def serial(s, m: int = 16, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
 def cumulative_sums(s, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
     """Maximum excursion of the +1/-1 partial sums, forward and backward."""
     from scipy.special import ndtr
-    bits = _as_bits(s, 100, "cumulative_sums")
-    n = bits.size
-    steps = bits.astype(np.int8)
-    steps *= 2
-    steps -= 1
-    sums = np.cumsum(steps, dtype=np.int32 if n < 1 << 31 else np.int64)
-    total = int(sums[-1])
-    # the backward walk's partial sums are S_n - S_j for 0 <= j < n, S_0 = 0
-    lo = min(0, int(sums[:-1].min()))
-    hi = max(0, int(sums[:-1].max()))
+    s = _stream(s, 100, "cumulative_sums")
+    n = len(s)
+    total = 2 * s.value.bit_count() - n
+    # the backward walk's partial sums are S_n - S_j for 0 <= j < n, S_0 = 0,
+    # so both walks need only the extremes of S_1..S_{n-1}: the whole bytes
+    # through the tables, from the sum at each byte's end, then r more bits
+    whole, r = divmod(n - 1, 8)
+    head = s.packed[:whole]
+    ends = _cumsum(np.take(_NET, head), n)
+    lo = min(0, int((ends - np.take(_FALL, head)).min()))
+    hi = max(0, int((ends + np.take(_RISE, head)).max()))
+    if r:
+        tail = ends[-1] + _PARTIAL[s.packed[whole], :r]
+        lo, hi = min(lo, int(tail.min())), max(hi, int(tail.max()))
     excursions = (("forward", max(-lo, hi, abs(total))),
                   ("backward", max(abs(total - lo), abs(total - hi))))
     reports = []
@@ -226,23 +284,29 @@ def cumulative_sums(s, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
     return reports
 
 
-def approximate_entropy(s, m: int = 10, alpha: float = DEFAULT_ALPHA) -> TestReport:
-    """Entropy gap between m- and (m+1)-bit overlapping pattern statistics."""
+def approximate_entropy(s, m: int = 10, alpha: float = DEFAULT_ALPHA, *,
+                        counts: np.ndarray | None = None) -> TestReport:
+    """Entropy gap between m- and (m+1)-bit overlapping pattern statistics.
+
+    `counts`, the cyclic window histogram of s at m + 1 bits or more,
+    saves building it: run_suite shares serial's.
+    """
     from scipy.special import gammaincc
-    bits = _as_bits(s, 16, "approximate_entropy")
+    s = _stream(s, 16, "approximate_entropy")
     if m < 1:
         raise ValueError("pattern length must be at least 1")
-    if bits.size < 1 << (m + 2):
+    n = len(s)
+    if n < 1 << (m + 2):
         raise InputTooShort(
             f"approximate_entropy with m={m} needs at least {1 << (m + 2)} bits")
-    n = bits.size
 
-    def phi(counts: np.ndarray) -> float:
-        probs = counts[counts > 0].astype(np.float64) / n
+    def phi(hist: np.ndarray) -> float:
+        probs = hist[hist > 0].astype(np.float64) / n
         return float(np.sum(probs * np.log(probs)))
 
-    counts = _pattern_counts(bits, m + 1)
-    apen = phi(_fold(counts)) - phi(counts)
+    if counts is None:
+        counts = _window_counts(s, m + 1)
+    apen = phi(_fold(counts, m)) - phi(_fold(counts, m + 1))
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     p = gammaincc(2 ** (m - 1), chi2 / 2.0)
     return _report("approximate_entropy", chi2, p, alpha, m=m)
@@ -284,20 +348,22 @@ SUITE_APEN_M = 10
 
 def run_suite(s, alpha: float = DEFAULT_ALPHA) -> SuiteResult:
     """Run the whole battery with (length-capped) default parameters."""
-    bits = BitStream(s)  # one stream, so one unpacked view for every test
+    bits = BitStream(s)  # one stream, so one packed view for every test
     n = len(bits)
     if n < 1024:
         raise InputTooShort("run_suite needs at least 1024 bits")
     log2n = math.floor(math.log2(n))
     serial_m = min(SUITE_SERIAL_M, log2n - 3)
     apen_m = min(SUITE_APEN_M, log2n - 6)
+    # one histogram for both pattern tests: apen_m + 1 <= serial_m here
+    counts = _window_counts(bits, serial_m)
     reports: List[TestReport] = [
         monobit(bits, alpha),
         block_frequency(bits, SUITE_BLOCK_M, alpha),
         runs(bits, alpha),
         longest_run(bits, alpha),
     ]
-    reports.extend(serial(bits, serial_m, alpha))
+    reports.extend(serial(bits, serial_m, alpha, counts=counts))
     reports.extend(cumulative_sums(bits, alpha))
-    reports.append(approximate_entropy(bits, apen_m, alpha))
+    reports.append(approximate_entropy(bits, apen_m, alpha, counts=counts))
     return SuiteResult(tuple(reports), alpha)

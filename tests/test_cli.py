@@ -6,7 +6,8 @@ import pytest
 from cubicorbit import (BitStream, MT19937, ConditionViolation, OrbitState,
                         OutputFormat, generate_bits, jump, validate_triple)
 from cubicorbit import cli, orbit
-from cubicorbit.bitstream import read_bits, read_words_le, write_words_le
+from cubicorbit.bitstream import (read_bits, read_words_le, write_bits,
+                                  write_words_le)
 from cubicorbit.cli import main
 from conftest import bisect_prefix
 
@@ -682,6 +683,40 @@ class TestStats:
         assert code == 1
         payload = json.loads(out)
         assert payload["all_passed"] is False
+
+    def test_json_file_reads_like_raw(self, tmp_path, capsys):
+        s = BitStream.from_words(MT19937().generate(1024))
+        raw, doc = tmp_path / "bits.raw", tmp_path / "bits.json"
+        write_bits(raw, s, OutputFormat.RAW_PACKED_BITS)
+        write_bits(doc, s, OutputFormat.JSON)
+        from_raw = run_cli(capsys, "stats", "--in", str(raw))
+        from_json = run_cli(capsys, "stats", "--in", str(doc), "--format", "json")
+        assert from_json == from_raw
+        assert len(json.loads(from_json[1])["reports"]) == 9
+
+    def test_json_file_with_a_wrong_length_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bits.json"
+        path.write_text(json.dumps({"length": 2047, "bits": "01" * 1024}))
+        code, out, err = run_cli(capsys, "stats", "--in", str(path),
+                                 "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "claims length 2047" in err
+
+    def test_packs_the_file_once_and_never_unpacks(self, tmp_path, capsys,
+                                                   monkeypatch):
+        path = tmp_path / "mt.bin"
+        write_words_le(path, MT19937().generate(2048))
+        streams, packs = [], []
+        run_suite, to_bytes = cli.run_suite, BitStream.to_bytes
+        monkeypatch.setattr(cli, "run_suite", lambda s, alpha:
+                            streams.append(s) or run_suite(s, alpha))
+        monkeypatch.setattr(BitStream, "to_bytes",
+                            lambda s: packs.append(1) or to_bytes(s))
+        run_cli(capsys, "stats", "--in", str(path), "--format", "words32le")
+        assert len(packs) == 1
+        assert "bits" not in vars(streams[0])
 
     def test_mt_words_pass(self, tmp_path, capsys):
         path = tmp_path / "mt.bin"

@@ -9,7 +9,7 @@ from cubicorbit import (MT19937, BitStream, InputTooShort,
                         approximate_entropy, block_frequency,
                         cumulative_sums, longest_run, monobit, run_suite,
                         runs, serial)
-from cubicorbit.stats import _LONGEST_RUN_TABLES, _fold, _pattern_counts
+from cubicorbit.stats import _LONGEST_RUN_TABLES, _fold, _window_counts
 
 # first 100 bits of the binary expansion of pi, a standard worked example
 PI_100 = ("11001001000011111101101010100010001000010110100011"
@@ -120,23 +120,40 @@ def brute_pattern_counts(bits: list, m: int) -> list:
 
 class TestPatternCounts:
     def test_against_window_loop(self):
+        # n < m wraps the window round the stream more than once
         rng = np.random.default_rng(16)
         for m in range(1, 13):
             for n in (1, m - 1, m, m + 1, 2 * m - 1, 2 * m + 3, 97, 300):
                 if n < 1:
                     continue
                 bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-                got = _pattern_counts(bits, m)
+                got = _window_counts(BitStream(bits), m)
                 assert got.tolist() == brute_pattern_counts(bits.tolist(), m), \
                     (m, n)
+
+    def test_long_windows_at_every_offset(self):
+        # windows up to 20 bits, at every start position mod 8
+        rng = np.random.default_rng(19)
+        for m in (13, 17, 20):
+            for n in (5, 19, 21, 64, 203, 1000, 1007):
+                bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+                got = _window_counts(BitStream(bits), m)
+                want = Counter()
+                for i in range(n):
+                    want[int("".join(str(bits[(i + j) % n])
+                                     for j in range(m)), 2)] += 1
+                assert {int(k): int(got[k]) for k in np.flatnonzero(got)} == \
+                    dict(want), (m, n)
 
     def test_fold_equals_direct_histogram(self):
         rng = np.random.default_rng(17)
         for n in (5, 64, 1000, 4099):
-            bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+            s = BitStream(rng.integers(0, 2, size=n, dtype=np.uint8))
             for m in range(2, 18):
-                assert np.array_equal(_fold(_pattern_counts(bits, m)),
-                                      _pattern_counts(bits, m - 1)), (n, m)
+                counts = _window_counts(s, m)
+                for k in (m - 1, m // 2, 1):
+                    assert np.array_equal(_fold(counts, k),
+                                          _window_counts(s, k)), (n, m, k)
 
 
 def brute_longest_run_categories(bits: list, m: int) -> list:
@@ -161,9 +178,22 @@ def brute_excursions(bits: list) -> tuple:
     return walk(bits), walk(bits[::-1])
 
 
+def brute_block_frequency(bits: list, m: int) -> float:
+    blocks = [bits[i:i + m] for i in range(0, len(bits) - m + 1, m)]
+    return 4.0 * m * sum((sum(b) / m - 0.5) ** 2 for b in blocks)
+
+
+def ending(n: int, tail: str) -> np.ndarray:
+    """n bits: alternating 1, 0 (every partial sum is 0 or 1), then tail."""
+    body = ("10" * n)[: n - len(tail)] + tail
+    return np.frombuffer(body.encode(), np.uint8) - ord("0")
+
+
 def kernel_inputs():
     """Random bits with all-ones and all-zeros blocks, at each longest-run
-    block size, with lengths that are not a multiple of the block."""
+    block size, with lengths that are not a multiple of the block; runs of
+    ones across byte and block edges, and walks whose extreme partial sum
+    lies in the last byte or at S_n, at every length mod 8."""
     rng = np.random.default_rng(18)
     for n, m in ((1000 + 5, 8), (7000 + 77, 128), (760_000 + 123, 10_000)):
         bits = rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -174,6 +204,18 @@ def kernel_inputs():
     yield np.ones(1000, dtype=np.uint8)
     yield np.zeros(1000, dtype=np.uint8)
     yield rng.integers(0, 2, size=777, dtype=np.uint8)
+    for n in range(1000, 1008):
+        for size, m in ((n, 8), (8 * n, 128)):
+            bits = rng.integers(0, 2, size=size, dtype=np.uint8)
+            bits[m - 5:m + 3] = 1  # ends one block, starts the next
+            bits[2 * m + 3:2 * m + m // 2] = 1  # inside a block, across bytes
+            bits[4 * m:5 * m] = 1  # a whole block of ones
+            bits[6 * m - 1:] = 1  # from one bit before a block to the end
+            yield bits
+        # the peak at S_(n-1), in the last byte, whole or not; the peak and
+        # the trough at S_n
+        for tail in ("110", "1110", "111", "000", "0001111111111"):
+            yield ending(n, tail)
 
 
 class TestKernelsAgainstLoops:
@@ -189,11 +231,51 @@ class TestKernelsAgainstLoops:
             assert rep.parameters["blocks"] == n_blocks
             assert rep.statistic == pytest.approx(chi2, rel=1e-12)
 
+    @pytest.mark.parametrize("n", range(1000, 1008))
+    def test_monobit_runs_and_block_frequency(self, n):
+        bits = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
+        bits[3:30] = 1  # a run of ones across three byte edges
+        raw = bits.tolist()
+        s = BitStream(bits)
+        assert monobit(s).statistic == abs(2 * sum(raw) - n) / math.sqrt(n)
+        assert runs(s).statistic == 1 + sum(a != b for a, b in zip(raw, raw[1:]))
+        for m in (10, 128, 7, 999, n):
+            rep = block_frequency(s, m)
+            assert rep.parameters["blocks"] == n // m
+            assert rep.statistic == pytest.approx(brute_block_frequency(raw, m),
+                                                  rel=1e-12, abs=1e-12)
+
     def test_cumulative_sums(self):
         for bits in kernel_inputs():
             fwd, bwd = cumulative_sums(BitStream(bits))
             assert (fwd.statistic, bwd.statistic) == brute_excursions(
                 bits.tolist())
+
+
+class TestRunSuite:
+    @pytest.mark.parametrize("n", [1024, 1500, 2047, 4096, 8191, 10_000, 1 << 14,
+                                   40_000, 1 << 16, 100_003, 1 << 18, 1 << 20])
+    def test_shared_histogram_equals_standalone_tests(self, n):
+        # serial_m runs from 7 to 16 and apen_m from 4 to 10 over these n
+        s = BitStream(np.random.default_rng(n).integers(0, 2, size=n,
+                                                        dtype=np.uint8))
+        reports = {r.name: r for r in run_suite(s).reports}
+        serial_m = reports["serial_1"].parameters["m"]
+        apen_m = reports["approximate_entropy"].parameters["m"]
+        log2n = math.floor(math.log2(n))
+        assert (serial_m, apen_m) == (min(16, log2n - 3), min(10, log2n - 6))
+        assert [reports["serial_1"], reports["serial_2"]] == serial(s, serial_m)
+        assert reports["approximate_entropy"] == approximate_entropy(s, apen_m)
+
+    def test_packs_once_and_never_unpacks(self, monkeypatch):
+        s = BitStream.from_words(MT19937().generate(8192))
+        calls = []
+        to_bytes = BitStream.to_bytes
+        monkeypatch.setattr(BitStream, "to_bytes",
+                            lambda self: calls.append(1) or to_bytes(self))
+        run_suite(s)
+        assert len(calls) == 1
+        assert "bits" not in vars(s)
 
 
 class TestDegenerateInputs:
