@@ -17,12 +17,14 @@ int `length` and a 0/1 string `bits`, and `read_bits` checks both.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import BinaryIO, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -42,12 +44,13 @@ _UNITS = {OutputFormat.RAW_PACKED_BITS: (8, "bytes"),
           OutputFormat.WORDS32_LE: (32, "32-bit words")}
 
 
-def check_whole_units(fmt: OutputFormat, n_bits: int) -> None:
-    """Raise ValueError unless n_bits fills whole packing units of fmt."""
+def check_whole_units(fmt: OutputFormat, n_bits: int) -> int:
+    """Bits per unit of fmt; ValueError unless n_bits fills whole units."""
     unit, noun = _UNITS.get(fmt, (1, "bits"))
     if n_bits % unit:
         raise ValueError(f"{fmt.value} writes whole {noun}, but {n_bits} bits "
                          f"is not a multiple of {unit}")
+    return unit
 
 
 def as_words32(words: Iterable[int]) -> np.ndarray:
@@ -110,13 +113,6 @@ class BitStream:
         """Read-only uint8 view of `to_bytes()`, packed on first use."""
         return np.frombuffer(self.to_bytes(), dtype=np.uint8)
 
-    @functools.cached_property
-    def bits(self) -> np.ndarray:
-        """Read-only uint8 view, one 0/1 byte per bit, unpacked on first use."""
-        arr = np.unpackbits(self.packed, count=self.length)
-        arr.setflags(write=False)
-        return arr
-
     def __len__(self) -> int:
         return self.length
 
@@ -126,7 +122,7 @@ class BitStream:
         if isinstance(r, int):
             return (self.value >> (n - 1 - r)) & 1
         if r.step != 1:
-            return BitStream(self.bits[key])
+            return BitStream.from01(self.to01()[key])
         return BitStream.from_int((self.value >> (n - r.stop)) & ((1 << len(r)) - 1),
                                   len(r))
 
@@ -165,22 +161,69 @@ def read_words_le(path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u4").astype(np.uint32)
 
 
-def write_bits(path, s: BitStream, fmt: OutputFormat) -> None:
-    check_whole_units(fmt, len(s))
-    if fmt is OutputFormat.RAW_PACKED_BITS:
-        Path(path).write_bytes(s.to_bytes())
-    elif fmt is OutputFormat.ASCII_BITS:
-        Path(path).write_text(s.to01())
-    elif fmt is OutputFormat.WORDS32_LE:
-        write_words_le(path, s.pack_words())
-    elif fmt is OutputFormat.CSV:
-        with open(path, "w") as fh:
-            fh.write("n,bit\n")
-            fh.writelines(f"{i},{b}\n" for i, b in enumerate(s.bits))
-    elif fmt is OutputFormat.JSON:
-        Path(path).write_text(json.dumps({"length": len(s), "bits": s.to01()}))
-    else:  # pragma: no cover
-        raise ValueError(f"unsupported format {fmt}")
+@contextlib.contextmanager
+def replace_on_success(path) -> Iterator[BinaryIO]:
+    """A binary file to write that takes `path`'s place only if the block ends.
+
+    The bytes go to a temp file in the target's directory (after resolving
+    symlinks), which `os.replace` moves over the target; on any failure the
+    temp file is removed and the target is left as it was. A target that
+    exists but is not a regular file (a FIFO, a device) is written in place.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    target = path.resolve()
+    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    # O_EXCL: never write through a file or link that is already there;
+    # 0o666 leaves the mode to the umask, as for a file opened with open()
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the target, as open(path) would
+        exc.filename = str(path)
+        raise
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_bits(path, streams: Iterable[BitStream], fmt: OutputFormat,
+               n_bits: int) -> None:
+    """Write n_bits bits of fmt: the streams in order, each as it arrives."""
+    unit = check_whole_units(fmt, n_bits)
+    # the carry: `length` bits, fewer than one unit, read as `value`
+    value = length = written = 0
+    with replace_on_success(path) as fh:
+        if fmt is OutputFormat.CSV:
+            fh.write(b"n,bit\n")
+        elif fmt is OutputFormat.JSON:
+            fh.write(f'{{"length": {n_bits}, "bits": "'.encode())
+        for s in streams:
+            value, length = (value << s.length) | s.value, length + s.length
+            keep = length % unit
+            chunk = BitStream.from_int(value >> keep, length - keep)
+            value, length = value & ((1 << keep) - 1), keep
+            if fmt is OutputFormat.RAW_PACKED_BITS:
+                fh.write(chunk.to_bytes())
+            elif fmt is OutputFormat.WORDS32_LE:
+                fh.write(chunk.pack_words().astype("<u4").tobytes())
+            elif fmt is OutputFormat.CSV:
+                fh.writelines(f"{written + i},{b}\n".encode()
+                              for i, b in enumerate(chunk.to01()))
+            else:  # ascii, and the string of json
+                fh.write(chunk.to01().encode())
+            written += len(chunk)
+        if written + length != n_bits:
+            raise ValueError(f"{written + length} bits arrived for a "
+                             f"{n_bits}-bit {fmt.value} file")
+        if fmt is OutputFormat.JSON:
+            fh.write(b'"}')
 
 
 def read_bits(path, fmt: OutputFormat) -> BitStream:

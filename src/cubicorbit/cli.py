@@ -25,7 +25,8 @@ from typing import Optional, Sequence, Tuple
 
 from . import __version__
 from .bitstream import (BitStream, OutputFormat, check_whole_units, read_bits,
-                        read_words_le, write_bits, write_words_le)
+                        read_words_le, replace_on_success, write_bits,
+                        write_words_le)
 from .mt19937 import (MT19937, DEFAULT_SEED, lag_pairs_csv,
                       load_recurrence_matrices, recover_matrices,
                       scan_conditions_ab, verify_recurrence)
@@ -73,14 +74,14 @@ def cmd_generate(args) -> int:
     fmt = OutputFormat(args.format)
     if out_path == "-" and fmt is not OutputFormat.ASCII_BITS:
         raise ValueError("generate: only --format ascii can write to stdout")
+    per_seed, drop, n_jobs = (  # the defaults, unless in --seed-set mode
+        default if getattr(args, k) is None else getattr(args, k)
+        for k, default in _FAMILY_DEFAULTS.items())
+    if n_jobs < 1:
+        raise ValueError("generate: --jobs must be at least 1")
+    # the pool forks all its workers at once: no more than there are CPUs
+    n_jobs = min(n_jobs, os.cpu_count() or 1)
     if args.seed_set:
-        per_seed, drop, n_jobs = (
-            default if getattr(args, k) is None else getattr(args, k)
-            for k, default in _FAMILY_DEFAULTS.items())
-        if n_jobs < 1:
-            raise ValueError("generate: --jobs must be at least 1")
-        # the pool forks all its workers at once: no more than there are CPUs
-        n_jobs = min(n_jobs, os.cpu_count() or 1)
         _reject_given(args, "generate: --seed-set does not take",
                       ("b", "c", "d", "bits", "resume", "checkpoint"))
         try:
@@ -99,36 +100,30 @@ def cmd_generate(args) -> int:
         check_whole_units(fmt, n_bits)
     except ValueError as exc:
         raise ValueError(f"generate: --format {exc}") from None
-    if args.seed_set:
-        jobs = [(m.as_tuple(), per_seed, drop) for m in fam.members]
-        # a worker takes a few contiguous members per pickle round trip; they
-        # are joined as they arrive, pairwise like a binary counter (runs halve
-        # in length up the stack), so k members cost O(N log k)
-        with ProcessPoolExecutor(n_jobs) if n_jobs > 1 else nullcontext() as pool:
-            chunks = map(_worker_generate, jobs) if pool is None else pool.map(
+    with ProcessPoolExecutor(n_jobs) if n_jobs > 1 else nullcontext() as pool:
+        if args.seed_set:
+            jobs = [(m.as_tuple(), per_seed, drop) for m in fam.members]
+            # a worker takes a few contiguous members per pickle round trip
+            tails = map(_worker_generate, jobs) if pool is None else pool.map(
                 _worker_generate, jobs, chunksize=-(-len(jobs) // (4 * n_jobs)))
-            runs = []
-            for value, length in chunks:
-                run = BitStream.from_int(value, length)
-                while runs and len(runs[-1]) == len(run):  # equal member lengths
-                    run = runs.pop() + run
-                runs.append(run)
-        stream = runs.pop()
-        while runs:  # the shortest first, so the whole stream is built once
-            stream = runs.pop() + stream
-    elif args.resume:
-        _reject_given(args, "generate: --resume does not take", "bcd")
-        state = OrbitState.from_text(Path(args.resume).read_text())
-        stream, final = generate_bits(state, n_bits)
-    else:
-        stream, final = generate_bits(_triple_from_args(args), n_bits)
-    if out_path == "-":
-        sys.stdout.write(stream.to01() + "\n")
-    else:
-        write_bits(out_path, stream, fmt)
+            streams = (BitStream.from_int(*tail) for tail in tails)
+        else:
+            if args.resume:
+                _reject_given(args, "generate: --resume does not take", "bcd")
+                origin = OrbitState.from_text(Path(args.resume).read_text())
+            else:
+                origin = _triple_from_args(args)
+            stream, final = generate_bits(origin, n_bits)
+            streams = [stream]
+        if out_path == "-":
+            sys.stdout.writelines(s.to01() for s in streams)
+            sys.stdout.write("\n")
+        else:
+            write_bits(out_path, streams, fmt, n_bits)
     # after the output, so it never claims unwritten bits (not in --seed-set)
     if args.checkpoint:
-        Path(args.checkpoint).write_text(final.to_text())
+        with replace_on_success(args.checkpoint) as fh:
+            fh.write(final.to_text().encode())
     return EXIT_OK
 
 

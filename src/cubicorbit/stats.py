@@ -58,6 +58,8 @@ class TestReport:
 
 def _report(name: str, statistic: float, p_value: float, alpha: float,
             **params: int) -> TestReport:
+    if math.isnan(p_value):  # the clamp below would let it through as a fail
+        raise ValueError(f"{name}: P-value is NaN for statistic {statistic}")
     p_value = float(min(max(p_value, 0.0), 1.0))
     return TestReport(name, float(statistic), p_value,
                       bool(p_value >= alpha), alpha, params)
@@ -225,6 +227,12 @@ def _psi_sq(counts: np.ndarray, n: int) -> float:
     return float(counts.size / n * np.sum(counts.astype(np.float64) ** 2) - n)
 
 
+def _n_psi_sq(counts: np.ndarray, n: int) -> int:
+    """n * psi^2 = 2^k * sum(c^2) - n^2 of a k-bit histogram, exactly."""
+    c = counts.astype(np.uint64 if n < 1 << 32 else object)  # sum(c^2) <= n^2
+    return counts.size * int(c @ c) - n * n
+
+
 def serial(s, m: int = 16, alpha: float = DEFAULT_ALPHA, *,
            counts: np.ndarray | None = None) -> List[TestReport]:
     """Uniformity of overlapping m-bit patterns; two P-values per run.
@@ -241,10 +249,14 @@ def serial(s, m: int = 16, alpha: float = DEFAULT_ALPHA, *,
         raise InputTooShort(f"serial with m={m} needs at least {1 << (m + 2)} bits")
     if counts is None:
         counts = _window_counts(s, m)
-    psi_m, psi_m1, psi_m2 = (_psi_sq(_fold(counts, k), n) if k else 0.0
-                             for k in (m, m - 1, m - 2))
-    d1 = psi_m - psi_m1
-    d2 = psi_m - 2.0 * psi_m1 + psi_m2
+    folds = [_fold(counts, k) for k in (m, m - 1, m - 2)]
+    psi_m, psi_m1, psi_m2 = (_psi_sq(c, n) if c.size > 1 else 0.0 for c in folds)
+    # a difference that is exactly 0 (decided on the integers n * psi^2) is
+    # reported as 0 and P-value 1: in floats it can round to a tiny negative,
+    # for which gammaincc returns NaN
+    x_m, x_m1, x_m2 = (_n_psi_sq(c, n) for c in folds)
+    d1 = psi_m - psi_m1 if x_m != x_m1 else 0.0
+    d2 = psi_m - 2.0 * psi_m1 + psi_m2 if x_m - 2 * x_m1 + x_m2 else 0.0
     p1 = gammaincc(2 ** (m - 2), d1 / 2.0)
     p2 = gammaincc(2 ** (m - 3), d2 / 2.0)
     return [_report("serial_1", d1, p1, alpha, m=m),

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 
@@ -46,6 +47,20 @@ def bisect_prefix(t, n: int) -> int:
         assert v != 0, "a dyadic point is a root: corrupt triple"
         lo = p if v < 0 else 2 * lo
     return lo
+
+
+def one_shot_bytes(s, fmt: str) -> bytes:
+    """Reference for write_bits: the whole stream s as format fmt, at once."""
+    if fmt == "raw":
+        return s.to_bytes()
+    if fmt == "words32le":
+        return s.pack_words().astype("<u4").tobytes()
+    if fmt == "csv":
+        return ("n,bit\n" + "".join(f"{i},{b}\n" for i, b in
+                                     enumerate(s.to01()))).encode()
+    if fmt == "json":
+        return json.dumps({"length": len(s), "bits": s.to01()}).encode()
+    return s.to01().encode()
 
 
 def merger_audit_all_states(s, horizon: int) -> MergerAudit:

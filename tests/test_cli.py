@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from cubicorbit import cli, orbit
 from cubicorbit.bitstream import (read_bits, read_words_le, write_bits,
                                   write_words_le)
 from cubicorbit.cli import main
-from conftest import bisect_prefix
+from conftest import bisect_prefix, one_shot_bytes
 
 
 def run_cli(capsys, *argv):
@@ -131,32 +134,100 @@ class TestGenerate:
         assert first_bad >= 0
 
     def test_seed_set_pipeline_order_and_trimming(self, tmp_path, capsys):
-        # byte-aligned members, then members of 97 and 45 bits, which the
-        # join must shift into place (as ascii: raw writes whole bytes only)
-        for c, per_seed, drop, fmt in ((3, 64, 8, "raw"), (8, 100, 3, "ascii"),
-                                       (5, 45, 0, "ascii")):
+        # byte-aligned members, then members of 97, 99, 45 and 40 bits, which
+        # the writer must carry into place, in every format the total allows;
+        # each file is compared with the joined stream written at once
+        units = {"raw": 8, "words32le": 32}
+        for c, per_seed, drop in ((3, 64, 8), (8, 100, 3), (8, 100, 1),
+                                  (5, 45, 0), (4, 48, 8)):
             n = per_seed - drop
             ds = range(-1, -c - 1, -1)
             want = BitStream([])
             for d in ds:
                 bits, _ = generate_bits(validate_triple(0, c, d), per_seed)
                 want = want + bits[drop:]
-            files = []
-            for jobs in ("1", "2"):
-                out = tmp_path / f"fam_{c}_{jobs}.{fmt}"
-                code, _, _ = run_cli(capsys, "generate", "--seed-set", f"0,{c}",
-                                     "--per-seed-bits", str(per_seed),
-                                     "--drop-prefix-bits", str(drop),
-                                     "--jobs", jobs, "--format", fmt,
-                                     "--out", str(out))
-                assert code == 0
-                files.append(out.read_bytes())
-                got = read_bits(out, OutputFormat(fmt))
-                assert got == want
-                for i, d in enumerate(ds):  # each member against the bisection
-                    whole = bisect_prefix(validate_triple(0, c, d), per_seed)
-                    assert got[i * n:(i + 1) * n].value == whole % (1 << n), (jobs, d)
-            assert files[0] == files[1]
+            for i, d in enumerate(ds):  # each member against the bisection
+                whole = bisect_prefix(validate_triple(0, c, d), per_seed)
+                assert want[i * n:(i + 1) * n].value == whole % (1 << n), d
+            family = ["generate", "--seed-set", f"0,{c}",
+                      "--per-seed-bits", str(per_seed),
+                      "--drop-prefix-bits", str(drop)]
+            for fmt in (f.value for f in OutputFormat):
+                if len(want) % units.get(fmt, 1):
+                    continue
+                for jobs in ("1", "2"):
+                    out = tmp_path / f"fam_{c}_{n}_{jobs}.{fmt}"
+                    code, _, _ = run_cli(capsys, *family, "--jobs", jobs,
+                                         "--format", fmt, "--out", str(out))
+                    assert code == 0
+                    assert out.read_bytes() == one_shot_bytes(want, fmt), (c, n, fmt)
+                    if fmt != "csv":
+                        assert read_bits(out, OutputFormat(fmt)) == want
+            code, out, _ = run_cli(capsys, *family, "--format", "ascii")
+            assert (code, out) == (0, want.to01() + "\n")
+
+    def test_seed_set_failure_leaves_the_old_file(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # a member that fails after two were written: no partial file, the
+        # file from before intact, and no temp file left beside it
+        worker = cli._worker_generate
+        seen = []
+
+        def third_fails(job):
+            seen.append(job)
+            if len(seen) == 3:
+                raise ValueError("member 2 failed")
+            return worker(job)
+        monkeypatch.setattr(cli, "_worker_generate", third_fails)
+        for fmt in ("raw", "words32le", "ascii", "csv", "json"):
+            seen.clear()
+            out = tmp_path / f"fam.{fmt}"
+            out.write_bytes(b"from before")
+            code, stdout, err = run_cli(capsys, "generate", "--seed-set", "0,5",
+                                        "--per-seed-bits", "64",
+                                        "--drop-prefix-bits", "0", "--jobs", "1",
+                                        "--format", fmt, "--out", str(out))
+            assert (code, stdout, err) == (2, "", "error: member 2 failed\n")
+            assert len(seen) == 3
+            assert out.read_bytes() == b"from before"
+            assert sorted(p.name for p in tmp_path.iterdir()) == [f"fam.{fmt}"]
+            out.unlink()
+
+    def test_fifo_is_written_in_place(self, tmp_path, capsys):
+        args = ["generate", "--seed-set", "0,3", "--per-seed-bits", "64",
+                "--drop-prefix-bits", "8"]
+        regular = tmp_path / "fam.raw"
+        assert run_cli(capsys, *args, "--out", str(regular))[0] == 0
+        fifo = tmp_path / "fam.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        code, _, err = run_cli(capsys, *args, "--out", str(fifo))
+        reader.join(timeout=10)
+        assert (code, err) == (0, "")
+        assert not reader.is_alive()
+        assert got == [regular.read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fam.fifo", "fam.raw"]
+
+    def test_checkpoint_is_replaced_only_on_success(self, tmp_path, capsys,
+                                                    monkeypatch):
+        ck = tmp_path / "ck.txt"
+        ck.write_text("from before")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(os, "replace", refuse)
+        code, out, err = run_cli(capsys, "generate", "--b", "0", "--c", "1",
+                                 "--d", "-1", "--bits", "40", "--format",
+                                 "ascii", "--checkpoint", str(ck))
+        assert code == 2
+        assert out == generate_bits(validate_triple(0, 1, -1), 40)[0].to01() + "\n"
+        assert err == "error: replace refused\n"
+        assert ck.read_text() == "from before"
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
 
     def test_coefficient_limit_fails_before_writing(self, tmp_path, capsys):
         # --max-coeff-bits is no longer an option: a usage error, no output
@@ -280,6 +351,7 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(tmp_path / "missing" / "x.raw")) in err  # not a temp file
         assert not ck.exists()
 
     @pytest.mark.parametrize("given, named", [
@@ -413,7 +485,7 @@ class TestVerify:
         for bad in (0, 5, 15):
             def flipped(t, n):
                 bits, state = generate_bits(t, n)
-                raw = bits.bits.copy()
+                raw = np.unpackbits(bits.packed, count=len(bits))
                 raw[bad] ^= 1
                 return BitStream(raw), state
             monkeypatch.setattr(cli, "generate_bits", flipped)
@@ -687,8 +759,8 @@ class TestStats:
     def test_json_file_reads_like_raw(self, tmp_path, capsys):
         s = BitStream.from_words(MT19937().generate(1024))
         raw, doc = tmp_path / "bits.raw", tmp_path / "bits.json"
-        write_bits(raw, s, OutputFormat.RAW_PACKED_BITS)
-        write_bits(doc, s, OutputFormat.JSON)
+        write_bits(raw, [s], OutputFormat.RAW_PACKED_BITS, len(s))
+        write_bits(doc, [s], OutputFormat.JSON, len(s))
         from_raw = run_cli(capsys, "stats", "--in", str(raw))
         from_json = run_cli(capsys, "stats", "--in", str(doc), "--format", "json")
         assert from_json == from_raw

@@ -7,7 +7,12 @@ from cubicorbit import (BitStream, ConditionViolation, OrbitState,
                         OutputFormat, generate_bits, inverse_step,
                         isolate_root_bits, step, validate_triple)
 from cubicorbit.bitstream import read_bits, write_bits
-from conftest import bisect_prefix, random_triple
+from conftest import bisect_prefix, one_shot_bytes, random_triple
+
+
+def unpacked(s: BitStream) -> np.ndarray:
+    """One 0/1 byte per bit of s."""
+    return np.unpackbits(s.packed, count=len(s))
 
 
 class TestValidate:
@@ -218,7 +223,8 @@ class TestPackWords:
     def test_word_file_needs_whole_words(self, tmp_path, n_bits):
         path = tmp_path / "w.bin"
         with pytest.raises(ValueError, match=f"{n_bits} bits is not a multiple"):
-            write_bits(path, BitStream([1] * n_bits), OutputFormat.WORDS32_LE)
+            write_bits(path, [BitStream([1] * n_bits)], OutputFormat.WORDS32_LE,
+                       n_bits)
         assert not path.exists()
 
 
@@ -233,10 +239,43 @@ class TestPackWords:
                     with pytest.raises(ValueError, match=f"{fmt.value} writes "
                                        f"whole .*, but {n} bits is not a "
                                        f"multiple of {unit}$"):
-                        write_bits(path, BitStream([1] * n), fmt)
+                        write_bits(path, [BitStream([1] * n)], fmt, n)
                 else:
-                    write_bits(path, BitStream([1] * n), fmt)
+                    write_bits(path, [BitStream([1] * n)], fmt, n)
                 assert path.exists() == (n % unit == 0)
+
+
+    def test_streams_are_written_as_one(self, tmp_path):
+        # pieces of every length from 0 to 40 bits, so the carry of raw and
+        # words32le takes every size, then one piece that fills the last unit;
+        # each file against the joined stream written at once
+        rng = random.Random(5)
+        lengths = list(range(41)) + [0, 1, 33, 0]
+        rng.shuffle(lengths)
+        pieces = [BitStream.from_int(rng.getrandbits(n), n) for n in lengths]
+        units = {OutputFormat.RAW_PACKED_BITS: 8, OutputFormat.WORDS32_LE: 32}
+        for fmt in OutputFormat:
+            for count in range(len(pieces) + 1):
+                part = pieces[:count]
+                fill = -sum(map(len, part)) % units.get(fmt, 1)
+                part.append(BitStream.from_int(rng.getrandbits(fill), fill))
+                whole = BitStream([])
+                for piece in part:
+                    whole = whole + piece
+                path = tmp_path / f"{fmt.value}_{count}"
+                write_bits(path, iter(part), fmt, len(whole))
+                assert path.read_bytes() == one_shot_bytes(whole, fmt.value)
+
+    @pytest.mark.parametrize("arrive", [16, 48])
+    def test_writes_exactly_n_bits(self, tmp_path, arrive):
+        for fmt in OutputFormat:
+            path = tmp_path / fmt.value
+            path.write_text("from before")
+            with pytest.raises(ValueError, match=f"{arrive} bits arrived for "
+                               f"a 32-bit {fmt.value} file"):
+                write_bits(path, [BitStream([1] * 16)] * (arrive // 16), fmt, 32)
+            assert path.read_text() == "from before"
+        assert len(list(tmp_path.iterdir())) == len(OutputFormat)
 
 
 class TestBitStream:
@@ -290,21 +329,21 @@ class TestBitStream:
         s = BitStream(ref)
         text = "".join(map(str, ref.tolist()))
         raw = np.packbits(ref).tobytes()
-        assert len(s) == n and np.array_equal(s.bits, ref)
+        assert len(s) == n and np.array_equal(unpacked(s), ref)
         assert s.value == (int(text, 2) if n else 0)
         assert s.to01() == text and BitStream.from01(text) == s
         assert s.to_bytes() == raw
         assert BitStream.from_bytes(raw, n) == s
         padded = BitStream.from_bytes(raw)
-        assert np.array_equal(padded.bits, np.unpackbits(np.frombuffer(raw, np.uint8)))
+        assert np.array_equal(unpacked(padded),
+                              np.unpackbits(np.frombuffer(raw, np.uint8)))
         if n % 32:
             with pytest.raises(ValueError, match=f"{n} bits is not a multiple"):
                 s.pack_words()
         else:
             res = s.pack_words()
             assert np.array_equal(res, np.packbits(ref).view(">u4"))
-            assert np.array_equal(BitStream.from_words(res).bits, ref)
-        assert not s.bits.flags.writeable and s.bits is s.bits  # unpacked once
+            assert np.array_equal(unpacked(BitStream.from_words(res)), ref)
 
     @pytest.mark.parametrize("n", LENGTHS)
     def test_slices_indexes_and_joins_match_a_numpy_reference(self, n):
@@ -313,13 +352,13 @@ class TestBitStream:
         cuts = {0, 1, 3, n // 3, n // 2 + 5, n - 7, n - 1, n, n + 9, -3, -n}
         for a in sorted(cuts):
             for b in (None, n - 5, n // 2 + 3, 13, -1):
-                assert np.array_equal(s[a:b].bits, ref[a:b]), (a, b)
+                assert np.array_equal(unpacked(s[a:b]), ref[a:b]), (a, b)
             head = BitStream(ref[:a])
             tail = BitStream(ref[a:])
             assert head + tail == s
-            assert np.array_equal((tail + head).bits,
+            assert np.array_equal(unpacked(tail + head),
                                   np.concatenate([ref[a:], ref[:a]]))
-        assert np.array_equal(s[1::3].bits, ref[1::3])
+        assert np.array_equal(unpacked(s[1::3]), ref[1::3])
         for i in range(-n, n):
             assert s[i] == ref[i]
         for i in (n, -n - 1):

@@ -9,7 +9,8 @@ from cubicorbit import (MT19937, BitStream, InputTooShort,
                         approximate_entropy, block_frequency,
                         cumulative_sums, longest_run, monobit, run_suite,
                         runs, serial)
-from cubicorbit.stats import _LONGEST_RUN_TABLES, _fold, _window_counts
+from cubicorbit.stats import (_LONGEST_RUN_TABLES, _fold, _n_psi_sq,
+                              _report, _window_counts)
 
 # first 100 bits of the binary expansion of pi, a standard worked example
 PI_100 = ("11001001000011111101101010100010001000010110100011"
@@ -65,7 +66,7 @@ class TestSerial:
     def test_against_brute_force(self):
         rng = np.random.default_rng(11)
         bits = BitStream(rng.integers(0, 2, size=2048, dtype=np.uint8))
-        raw = [int(b) for b in bits.bits]
+        raw = [int(b) for b in bits.to01()]
         for m in (2, 3, 5):
             p1, p2 = serial(bits, m)
             d1 = brute_psi_sq(raw, m) - brute_psi_sq(raw, m - 1)
@@ -82,12 +83,50 @@ class TestSerial:
         with pytest.raises(InputTooShort):
             serial(BitStream.from01("01" * 16), 4)
 
+    @staticmethod
+    def _last_draw(seed, lengths, dtype):
+        rng = np.random.default_rng(seed)
+        for n in lengths(rng):
+            bits = rng.integers(0, 2, n, dtype=dtype)
+        return bits
+
+    @pytest.mark.parametrize("seed, lengths, dtype, n", [
+        (0, lambda rng: (rng.integers(100, 300) for _ in range(66)), np.int64, 148),
+        (1, lambda rng: range(1024, 1069), np.uint8, 1068)], ids=["148", "1068"])
+    def test_second_difference_exactly_zero(self, seed, lengths, dtype, n):
+        # the 2-bit window counts make n * (psi2_2 - 2 psi2_1 + psi2_0) == 0
+        # in integers; in floats it rounds to a tiny negative, which gave a
+        # NaN P-value and a fail
+        bits = self._last_draw(seed, lengths, dtype).tolist()
+        assert len(bits) == n
+        ext = bits + bits[:1]
+        pairs = Counter(tuple(ext[i:i + 2]) for i in range(n))
+        ones = sum(bits)
+        n_psi2 = 4 * sum(v * v for v in pairs.values()) - n * n
+        n_psi1 = 2 * (ones ** 2 + (n - ones) ** 2) - n * n
+        assert n_psi2 - 2 * n_psi1 == 0 and n_psi2 != n_psi1
+        first, second = serial(BitStream(bits), 2)
+        assert (second.statistic, second.p_value, second.passed) == (0.0, 1.0, True)
+        assert first.statistic == pytest.approx((n_psi2 - n_psi1) / n, abs=1e-9)
+        assert first.p_value == pytest.approx(
+            float(gammaincc(1, first.statistic / 2)), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [5, (1 << 32) - 1, 1 << 32, 3 << 40])
+    def test_exact_psi_past_64_bit_sums(self, n):
+        # sum(c^2) reaches about n^2, past 2^64 for n >= 2^32: no uint64 wrap
+        counts = np.array([n - 2, 1, 0, 1], dtype=np.int64)
+        assert _n_psi_sq(counts, n) == 4 * ((n - 2) ** 2 + 2) - n * n
+
+    def test_nan_p_value_is_an_error(self):
+        with pytest.raises(ValueError, match="serial_2: P-value is NaN"):
+            _report("serial_2", -2.8e-14, float("nan"), 0.01, m=2)
+
 
 class TestApproximateEntropy:
     def test_against_brute_force(self):
         rng = np.random.default_rng(12)
         bits = BitStream(rng.integers(0, 2, size=2048, dtype=np.uint8))
-        raw = [int(b) for b in bits.bits]
+        raw = [int(b) for b in bits.to01()]
         n = len(raw)
 
         def brute_phi(m):
