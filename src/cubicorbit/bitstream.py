@@ -21,6 +21,7 @@ import contextlib
 import functools
 import json
 import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -108,6 +109,9 @@ class BitStream:
     def from_words(cls, words: Iterable[int]) -> "BitStream":
         return cls.from_bytes(as_words32(words).astype(">u4").tobytes())
 
+    def __reduce__(self):  # pickle and copy by value and length
+        return BitStream.from_int, (self.value, self.length)
+
     @functools.cached_property
     def packed(self) -> np.ndarray:
         """Read-only uint8 view of `to_bytes()`, packed on first use."""
@@ -167,8 +171,10 @@ def replace_on_success(path) -> Iterator[BinaryIO]:
 
     The bytes go to a temp file in the target's directory (after resolving
     symlinks), which `os.replace` moves over the target; on any failure the
-    temp file is removed and the target is left as it was. A target that
-    exists but is not a regular file (a FIFO, a device) is written in place.
+    temp file is removed and the target is left as it was. A regular file
+    that is replaced keeps its permission bits, not its hard links. A target
+    that exists but is not a regular file (a FIFO, a device) is written in
+    place.
     """
     path = Path(path)
     if path.exists() and not path.is_file():
@@ -187,6 +193,8 @@ def replace_on_success(path) -> Iterator[BinaryIO]:
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
+            if target.is_file():  # so a private output stays private
+                os.fchmod(fd, stat.S_IMODE(target.stat().st_mode))
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)

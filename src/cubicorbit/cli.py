@@ -21,7 +21,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from . import __version__
 from .bitstream import (BitStream, OutputFormat, check_whole_units, read_bits,
@@ -52,10 +52,9 @@ def _triple_from_args(args) -> CoeffTriple:
     return validate_triple(args.b, args.c, args.d)
 
 
-def _worker_generate(job) -> Tuple[int, int]:
+def _worker_generate(job) -> BitStream:
     (b, c, d), n_bits, drop = job
-    tail = generate_bits(validate_triple(b, c, d), n_bits)[0][drop:]
-    return tail.value, tail.length
+    return generate_bits(validate_triple(b, c, d), n_bits)[0][drop:]
 
 
 def _reject_given(args, message: str, keys: Sequence[str]) -> None:
@@ -104,9 +103,8 @@ def cmd_generate(args) -> int:
         if args.seed_set:
             jobs = [(m.as_tuple(), per_seed, drop) for m in fam.members]
             # a worker takes a few contiguous members per pickle round trip
-            tails = map(_worker_generate, jobs) if pool is None else pool.map(
+            streams = map(_worker_generate, jobs) if pool is None else pool.map(
                 _worker_generate, jobs, chunksize=-(-len(jobs) // (4 * n_jobs)))
-            streams = (BitStream.from_int(*tail) for tail in tails)
         else:
             if args.resume:
                 _reject_given(args, "generate: --resume does not take", "bcd")

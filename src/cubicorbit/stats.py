@@ -22,8 +22,14 @@ of its integer `value` for monobit and runs, and per-byte tables over
 its bytes (`BitStream.packed`) for block frequency, longest run and
 cumulative sums. The pattern tests (serial, approximate entropy) count
 the cyclic overlapping windows from wide words read at each byte, and
-fold that histogram to the shorter pattern lengths; run_suite builds one
-histogram at the serial length and shares it with approximate entropy.
+fold that histogram to the shorter pattern lengths. Each public test
+builds the histogram of the sequence it is given; run_suite builds one at
+the serial length and passes it to both tests' private kernels.
+
+A pattern statistic that is exactly 0 is reported as 0 with P-value 1:
+serial's differences are decided on integers, approximate entropy's by
+comparing each pattern's two one-bit extensions. In floats such a 0 can
+round to a tiny negative, for which the incomplete gamma returns NaN.
 """
 
 from __future__ import annotations
@@ -233,27 +239,27 @@ def _n_psi_sq(counts: np.ndarray, n: int) -> int:
     return counts.size * int(c @ c) - n * n
 
 
-def serial(s, m: int = 16, alpha: float = DEFAULT_ALPHA, *,
-           counts: np.ndarray | None = None) -> List[TestReport]:
+def serial(s, m: int = 16, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
     """Uniformity of overlapping m-bit patterns; two P-values per run.
 
-    `counts`, the cyclic window histogram of s at m bits or more, saves
-    building it: run_suite shares one with approximate_entropy.
+    A difference that is exactly 0 (decided on the integers n * psi^2) is
+    reported as statistic 0 and P-value 1: in floats it can round to a tiny
+    negative, for which gammaincc returns NaN.
     """
-    from scipy.special import gammaincc
     s = _stream(s, 16, "serial")
     if m < 2:
         raise ValueError("pattern length must be at least 2")
     n = len(s)
     if n < 1 << (m + 2):
         raise InputTooShort(f"serial with m={m} needs at least {1 << (m + 2)} bits")
-    if counts is None:
-        counts = _window_counts(s, m)
+    return _serial(_window_counts(s, m), n, m, alpha)
+
+
+def _serial(counts: np.ndarray, n: int, m: int, alpha: float) -> List[TestReport]:
+    """serial from the n-bit stream's cyclic window histogram at m bits or more."""
+    from scipy.special import gammaincc
     folds = [_fold(counts, k) for k in (m, m - 1, m - 2)]
     psi_m, psi_m1, psi_m2 = (_psi_sq(c, n) if c.size > 1 else 0.0 for c in folds)
-    # a difference that is exactly 0 (decided on the integers n * psi^2) is
-    # reported as 0 and P-value 1: in floats it can round to a tiny negative,
-    # for which gammaincc returns NaN
     x_m, x_m1, x_m2 = (_n_psi_sq(c, n) for c in folds)
     d1 = psi_m - psi_m1 if x_m != x_m1 else 0.0
     d2 = psi_m - 2.0 * psi_m1 + psi_m2 if x_m - 2 * x_m1 + x_m2 else 0.0
@@ -296,14 +302,14 @@ def cumulative_sums(s, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
     return reports
 
 
-def approximate_entropy(s, m: int = 10, alpha: float = DEFAULT_ALPHA, *,
-                        counts: np.ndarray | None = None) -> TestReport:
+def approximate_entropy(s, m: int = 10, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Entropy gap between m- and (m+1)-bit overlapping pattern statistics.
 
-    `counts`, the cyclic window histogram of s at m + 1 bits or more,
-    saves building it: run_suite shares serial's.
+    chi2 = 2 * sum_p c_p * (ln 2 - H(c_p0 / c_p)) over the m-bit patterns p,
+    with H the binary entropy, so it is exactly 0 when each p's two (m+1)-bit
+    extensions are equally frequent; that case is reported as statistic 0
+    and P-value 1, where floats can round it to a tiny negative.
     """
-    from scipy.special import gammaincc
     s = _stream(s, 16, "approximate_entropy")
     if m < 1:
         raise ValueError("pattern length must be at least 1")
@@ -311,15 +317,23 @@ def approximate_entropy(s, m: int = 10, alpha: float = DEFAULT_ALPHA, *,
     if n < 1 << (m + 2):
         raise InputTooShort(
             f"approximate_entropy with m={m} needs at least {1 << (m + 2)} bits")
+    return _approximate_entropy(_window_counts(s, m + 1), n, m, alpha)
+
+
+def _approximate_entropy(counts: np.ndarray, n: int, m: int,
+                         alpha: float) -> TestReport:
+    """approximate_entropy from the cyclic window histogram at m + 1 bits or more."""
+    from scipy.special import gammaincc
 
     def phi(hist: np.ndarray) -> float:
         probs = hist[hist > 0].astype(np.float64) / n
         return float(np.sum(probs * np.log(probs)))
 
-    if counts is None:
-        counts = _window_counts(s, m + 1)
-    apen = phi(_fold(counts, m)) - phi(_fold(counts, m + 1))
-    chi2 = 2.0 * n * (math.log(2.0) - apen)
+    wide = _fold(counts, m + 1)
+    if np.array_equal(wide[0::2], wide[1::2]):
+        chi2 = 0.0
+    else:
+        chi2 = 2.0 * n * (math.log(2.0) - (phi(_fold(counts, m)) - phi(wide)))
     p = gammaincc(2 ** (m - 1), chi2 / 2.0)
     return _report("approximate_entropy", chi2, p, alpha, m=m)
 
@@ -375,7 +389,7 @@ def run_suite(s, alpha: float = DEFAULT_ALPHA) -> SuiteResult:
         runs(bits, alpha),
         longest_run(bits, alpha),
     ]
-    reports.extend(serial(bits, serial_m, alpha, counts=counts))
+    reports.extend(_serial(counts, n, serial_m, alpha))
     reports.extend(cumulative_sums(bits, alpha))
-    reports.append(approximate_entropy(bits, apen_m, alpha, counts=counts))
+    reports.append(_approximate_entropy(counts, n, apen_m, alpha))
     return SuiteResult(tuple(reports), alpha)

@@ -63,6 +63,25 @@ def one_shot_bytes(s, fmt: str) -> bytes:
     return s.to01().encode()
 
 
+def de_bruijn(k: int) -> str:
+    """The lexicographically least binary de Bruijn sequence of order k.
+
+    The Lyndon words whose length divides k, in order (Fredricksen, Kessler
+    and Maiorana), generated by Duval's algorithm: its 2^k cyclic k-bit
+    windows are every k-bit pattern once.
+    """
+    out, w = [], [0]
+    while w:
+        if k % len(w) == 0:
+            out.extend(w)
+        w = (w * (k // len(w) + 1))[:k]
+        while w and w[-1] == 1:
+            w.pop()
+        if w:
+            w[-1] = 1
+    return "".join(map(str, out))
+
+
 def merger_audit_all_states(s, horizon: int) -> MergerAudit:
     """Reference for seeds.merger_audit: records every state it visits.
 

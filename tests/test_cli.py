@@ -1,7 +1,10 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from cubicorbit import cli, orbit
 from cubicorbit.bitstream import (read_bits, read_words_le, write_bits,
                                   write_words_le)
 from cubicorbit.cli import main
-from conftest import bisect_prefix, one_shot_bytes
+from conftest import bisect_prefix, de_bruijn, one_shot_bytes
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +231,28 @@ class TestGenerate:
         assert err == "error: replace refused\n"
         assert ck.read_text() == "from before"
         assert [p.name for p in tmp_path.iterdir()] == ["ck.txt"]
+
+    def test_replaced_output_keeps_its_mode(self, tmp_path, capsys):
+        out, ck = tmp_path / "bits.raw", tmp_path / "ck.txt"
+        fresh, fresh_ck = tmp_path / "fresh.raw", tmp_path / "fresh_ck.txt"
+        for path in (out, ck):
+            path.write_bytes(b"from before")
+            path.chmod(0o600)
+        umask = os.umask(0o022)
+        try:
+            for o, c in ((out, ck), (fresh, fresh_ck)):
+                code, _, err = run_cli(capsys, "generate", "--b", "0", "--c", "1",
+                                       "--d", "-1", "--bits", "16", "--out", str(o),
+                                       "--checkpoint", str(c))
+                assert (code, err) == (0, "")
+        finally:
+            os.umask(umask)
+        want = generate_bits(validate_triple(0, 1, -1), 16)
+        for path, mode in ((out, 0o600), (ck, 0o600),
+                           (fresh, 0o644), (fresh_ck, 0o644)):
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
+        assert out.read_bytes() == fresh.read_bytes() == want[0].to_bytes()
+        assert ck.read_text() == fresh_ck.read_text() == want[1].to_text()
 
     def test_coefficient_limit_fails_before_writing(self, tmp_path, capsys):
         # --max-coeff-bits is no longer an option: a usage error, no output
@@ -756,6 +781,23 @@ class TestStats:
         payload = json.loads(out)
         assert payload["all_passed"] is False
 
+    def test_equally_frequent_windows_fail_without_an_error(self, tmp_path,
+                                                             capsys):
+        # 2^20 bits whose cyclic 11-bit windows are all equally frequent:
+        # approximate entropy's chi2 is exactly 0, which used to abort the
+        # run with a NaN P-value and exit 2
+        path = tmp_path / "debruijn.raw"
+        path.write_bytes(BitStream.from01(de_bruijn(11) * 512).to_bytes())
+        code, out, err = run_cli(capsys, "stats", "--in", str(path))
+        assert (code, err) == (1, "")
+        reports = {r["name"]: r for r in json.loads(out)["reports"]}
+        apen = reports["approximate_entropy"]
+        assert (apen["statistic"], apen["p_value"]) == (0.0, 1.0)
+        assert apen["passed"]
+        assert apen["parameters"] == {"m": 10}
+        assert sorted(n for n, r in reports.items() if not r["passed"]) == [
+            "block_frequency", "longest_run", "serial_1", "serial_2"]
+
     def test_json_file_reads_like_raw(self, tmp_path, capsys):
         s = BitStream.from_words(MT19937().generate(1024))
         raw, doc = tmp_path / "bits.raw", tmp_path / "bits.json"
@@ -798,3 +840,21 @@ class TestStats:
         payload = json.loads(out)
         assert code == (0 if payload["all_passed"] else 1)
         assert len(payload["reports"]) == 9
+
+
+def test_generate_and_verify_load_no_scipy(tmp_path):
+    # in a fresh interpreter: scipy is imported only by a statistical test
+    script = (
+        "import sys\n"
+        "from cubicorbit.cli import main\n"
+        "src = ['--b', '0', '--c', '1', '--d', '-1', '--bits', '64']\n"
+        "assert main(['generate', *src, '--out', sys.argv[1]]) == 0\n"
+        "assert main(['verify', *src]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "b.raw")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -298,6 +300,17 @@ class TestBitStream:
         s = BitStream.from01("11110000")
         assert (s[:4] + s[4:]) == s
         assert s[4] == 0
+
+    @pytest.mark.parametrize("text", ["", "1011", "0" * 9 + "1" * 90],
+                             ids=["0", "4", "99"])
+    def test_pickles_and_copies(self, text):
+        s = BitStream.from01(text)
+        s.packed  # a cached view is not part of the value
+        for twin in (pickle.loads(pickle.dumps(s)), copy.copy(s),
+                     copy.deepcopy(s)):
+            assert type(twin) is BitStream
+            assert (twin.value, twin.length) == (s.value, s.length)
+            assert twin.to01() == text
 
     def test_rejects_two_dimensions(self):
         with pytest.raises(ValueError, match="one-dimensional"):

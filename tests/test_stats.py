@@ -1,3 +1,4 @@
+import inspect
 import math
 from collections import Counter
 
@@ -9,8 +10,10 @@ from cubicorbit import (MT19937, BitStream, InputTooShort,
                         approximate_entropy, block_frequency,
                         cumulative_sums, longest_run, monobit, run_suite,
                         runs, serial)
+from cubicorbit import stats
 from cubicorbit.stats import (_LONGEST_RUN_TABLES, _fold, _n_psi_sq,
                               _report, _window_counts)
+from conftest import de_bruijn
 
 # first 100 bits of the binary expansion of pi, a standard worked example
 PI_100 = ("11001001000011111101101010100010001000010110100011"
@@ -143,6 +146,23 @@ class TestApproximateEntropy:
     def test_constant_input_fails(self):
         rep = approximate_entropy(BitStream(np.ones(4096, dtype=np.uint8)), 3)
         assert rep.p_value < 1e-10
+
+    def test_equally_frequent_extensions_give_exactly_zero(self):
+        # every cyclic 4-bit window of a repeated order-4 de Bruijn sequence
+        # is equally frequent, so each 3-bit pattern's two extensions are
+        # too: chi2 is exactly 0, which floats rounded to a tiny negative
+        # and a NaN P-value (the order-11 case runs through the CLI)
+        s = BitStream.from01(de_bruijn(4) * 250)
+        assert len(set(_window_counts(s, 4).tolist())) == 1
+        rep = approximate_entropy(s, 3)
+        assert (rep.statistic, rep.p_value, rep.passed) == (0.0, 1.0, True)
+
+    def test_one_unequal_pair_keeps_the_float_statistic(self):
+        # flipping one bit breaks the balance: chi2 is small but positive
+        bits = list(de_bruijn(4) * 250)
+        bits[0] = "1"
+        rep = approximate_entropy(BitStream.from01("".join(bits)), 3)
+        assert 0.0 < rep.statistic < 1.0 and rep.passed
 
 
 def brute_pattern_counts(bits: list, m: int) -> list:
@@ -305,6 +325,23 @@ class TestRunSuite:
         assert (serial_m, apen_m) == (min(16, log2n - 3), min(10, log2n - 6))
         assert [reports["serial_1"], reports["serial_2"]] == serial(s, serial_m)
         assert reports["approximate_entropy"] == approximate_entropy(s, apen_m)
+
+    def test_builds_one_window_histogram(self, monkeypatch):
+        s = BitStream.from_words(MT19937().generate(8192))
+        calls = []
+        window_counts = stats._window_counts
+        monkeypatch.setattr(stats, "_window_counts", lambda s, m:
+                            calls.append(m) or window_counts(s, m))
+        run_suite(s)
+        assert calls == [15]  # serial's m at 2^18 bits, shared by both
+
+    def test_pattern_tests_take_only_their_sequence(self):
+        for test in (serial, approximate_entropy):
+            assert list(inspect.signature(test).parameters) == ["s", "m", "alpha"]
+        for name, fn in inspect.getmembers(stats, inspect.isfunction):
+            if fn.__module__ == stats.__name__ and not name.startswith("_"):
+                assert not {"counts", "hist"} & set(
+                    inspect.signature(fn).parameters), name
 
     def test_packs_once_and_never_unpacks(self, monkeypatch):
         s = BitStream.from_words(MT19937().generate(8192))
