@@ -27,15 +27,15 @@ show(run_suite(bits), "doubling-map generator")
 
 # --- biased coin --------------------------------------------------------
 rng = np.random.default_rng(0)
-biased = BitStream((rng.random(n) < 0.51).astype(np.uint8))
+biased = BitStream.from_bits((rng.random(n) < 0.51).astype(np.uint8))
 show(run_suite(biased), "coin with a 51% bias")
 
 # --- long-range structure ----------------------------------------------
 # balanced and locally random, but the second half repeats the first
 half = rng.integers(0, 2, size=n // 2, dtype=np.uint8)
-echo = BitStream(np.concatenate([half, half]))
+echo = BitStream.from_bits(np.concatenate([half, half]))
 show(run_suite(echo), "first half echoed twice")
 
 # --- the classic degenerate cases --------------------------------------
-show(run_suite(BitStream(np.zeros(4096, dtype=np.uint8))), "all zeros")
+show(run_suite(BitStream.from_bits(np.zeros(4096, dtype=np.uint8))), "all zeros")
 show(run_suite(BitStream.from01("01" * 2048)), "strict alternation")

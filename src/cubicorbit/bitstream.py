@@ -1,7 +1,10 @@
 """Bit sequences with fixed packing conventions.
 
 n bits are stored as one int, the bits read MSB-first (the m orbit.jump
-returns), and n; every format converts from it in linear time. All
+returns), and n: `BitStream(value, n)`. The named constructors build
+that pair from a 0/1 array or sequence (`from_bits`), a 0/1 string
+(`from01`), MSB-first bytes (`from_bytes`) and 32-bit words
+(`from_words`); every format converts from it in linear time. All
 packing is MSB-first: bit k lands in bit position 7-(k%8) of byte k//8,
 and 32-bit words take their first bit as the most significant bit. Word
 files on disk are little-endian 32-bit, so the bit-to-word mapping is
@@ -25,11 +28,9 @@ import stat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence, Union
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
-
-BitsLike = Union["BitStream", Sequence[int], np.ndarray]
 
 
 class OutputFormat(Enum):
@@ -63,16 +64,21 @@ def as_words32(words: Iterable[int]) -> np.ndarray:
     return arr.astype(np.uint32, copy=False)
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class BitStream:
     """Immutable sequence of bits: `value` read MSB-first, `length` bits."""
 
     value: int
     length: int
 
-    def __new__(cls, bits: BitsLike):
-        if isinstance(bits, BitStream):
-            return bits
+    def __post_init__(self):
+        # bit_length() >= 0, so a negative length fails the second test
+        if self.value < 0 or self.value.bit_length() > self.length:
+            raise ValueError("value must lie in [0, 2^length)")
+
+    @classmethod
+    def from_bits(cls, bits: Sequence[int] | np.ndarray) -> "BitStream":
+        """The stream of a one-dimensional sequence of 0/1 values."""
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
@@ -81,20 +87,11 @@ class BitStream:
         return cls.from_bytes(np.packbits(arr).tobytes(), arr.size)
 
     @classmethod
-    def from_int(cls, value: int, length: int) -> "BitStream":
-        """The stream of `length` bits whose MSB-first reading is `value`."""
-        if length < 0 or value < 0 or value.bit_length() > length:
-            raise ValueError("value must lie in [0, 2^length)")
-        s = object.__new__(cls)
-        s.__dict__.update(value=value, length=length)
-        return s
-
-    @classmethod
     def from01(cls, text: str) -> "BitStream":
         text = text.strip()
         if set(text) - {"0", "1"}:  # int(text, 2) would take "_", "0b", "+"
             raise ValueError("expected a string of 0/1 characters")
-        return cls.from_int(int(text, 2) if text else 0, len(text))
+        return cls(int(text, 2) if text else 0, len(text))
 
     @classmethod
     def from_bytes(cls, raw: bytes, n_bits: int | None = None) -> "BitStream":
@@ -103,14 +100,14 @@ class BitStream:
         n_bits = size if n_bits is None else n_bits
         if n_bits > size:
             raise ValueError("n_bits exceeds available data")
-        return cls.from_int(int.from_bytes(raw, "big") >> (size - n_bits), n_bits)
+        return cls(int.from_bytes(raw, "big") >> (size - n_bits), n_bits)
 
     @classmethod
     def from_words(cls, words: Iterable[int]) -> "BitStream":
         return cls.from_bytes(as_words32(words).astype(">u4").tobytes())
 
-    def __reduce__(self):  # pickle and copy by value and length
-        return BitStream.from_int, (self.value, self.length)
+    def __reduce__(self):  # value and length only: a copied `packed` is writable
+        return BitStream, (self.value, self.length)
 
     @functools.cached_property
     def packed(self) -> np.ndarray:
@@ -127,13 +124,11 @@ class BitStream:
             return (self.value >> (n - 1 - r)) & 1
         if r.step != 1:
             return BitStream.from01(self.to01()[key])
-        return BitStream.from_int((self.value >> (n - r.stop)) & ((1 << len(r)) - 1),
-                                  len(r))
+        return BitStream((self.value >> (n - r.stop)) & ((1 << len(r)) - 1), len(r))
 
-    def __add__(self, other: BitsLike) -> "BitStream":
-        other = BitStream(other)
-        return BitStream.from_int((self.value << other.length) | other.value,
-                                  self.length + other.length)
+    def __add__(self, other: "BitStream") -> "BitStream":
+        return BitStream((self.value << other.length) | other.value,
+                         self.length + other.length)
 
     def __repr__(self) -> str:
         head = self.to01() if len(self) <= 64 else self.to01()[:61] + "..."
@@ -154,7 +149,8 @@ class BitStream:
 
 
 def write_words_le(path, words: np.ndarray) -> None:
-    np.asarray(words, dtype=np.uint32).astype("<u4").tofile(path)
+    with replace_on_success(path) as fh:
+        fh.write(np.asarray(words, dtype=np.uint32).astype("<u4").tobytes())
 
 
 def read_words_le(path) -> np.ndarray:
@@ -215,7 +211,7 @@ def write_bits(path, streams: Iterable[BitStream], fmt: OutputFormat,
         for s in streams:
             value, length = (value << s.length) | s.value, length + s.length
             keep = length % unit
-            chunk = BitStream.from_int(value >> keep, length - keep)
+            chunk = BitStream(value >> keep, length - keep)
             value, length = value & ((1 << keep) - 1), keep
             if fmt is OutputFormat.RAW_PACKED_BITS:
                 fh.write(chunk.to_bytes())

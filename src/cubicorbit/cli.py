@@ -2,7 +2,7 @@
 
 Subcommands:
     generate   emit bits from one triple or a whole seed family
-    verify     compare generator output against the root oracle
+    verify     certify the generator's bits with the shifted triple
     seeds      build a seed family and run its audits, JSON out
     mt         reference-generator tooling: gen / verify / recover / scan
     stats      run the randomness test battery over a bit file
@@ -212,7 +212,7 @@ def cmd_mt(args) -> int:
     else:
         seed, count = (v if getattr(args, k) is None else getattr(args, k)
                        for k, v in _MT_DEFAULTS.items())
-        if args.mt_cmd == "gen" and count == 0:
+        if args.mt_cmd == "gen" and count < 1:
             raise ValueError("mt gen: --count must be at least 1")
         words = MT19937(seed).generate(count)
     if args.mt_cmd == "gen":
@@ -237,7 +237,8 @@ def cmd_mt(args) -> int:
     # scan: argparse admits no fifth subcommand
     text = lag_pairs_csv(scan_conditions_ab(words, a, b))
     if args.out:
-        Path(args.out).write_text(text)
+        with replace_on_success(args.out) as fh:
+            fh.write(text.encode())
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -251,7 +251,7 @@ def isolate_root_bits(t: CoeffTriple, k: int) -> Tuple[str, int]:
     """
     m = jump(t, k)[0]  # jump rejects a negative k
     shifted(t, m, k)
-    return BitStream.from_int(m, k).to01(), m
+    return BitStream(m, k).to01(), m
 
 
 def refine_to_resolution(t: CoeffTriple, eps_exponent: int) -> int:
@@ -271,4 +271,4 @@ def generate_bits(seed: Union[CoeffTriple, OrbitState],
     """
     state = seed if isinstance(seed, OrbitState) else OrbitState(seed, 0)
     m, triple = jump(state.triple, n)
-    return BitStream.from_int(m, n), OrbitState(triple, state.step_index + n)
+    return BitStream(m, n), OrbitState(triple, state.step_index + n)

@@ -2,9 +2,10 @@
 
 Implements a small battery in the NIST SP 800-22 style: frequency
 (monobit and per-block), runs, longest run of ones, serial,
-cumulative sums, and approximate entropy. Each test returns the
-conventional statistic and P-value; a sequence passes a test at
-significance alpha when its P-value is at least alpha. P-value
+cumulative sums, and approximate entropy. Each test takes a BitStream
+or a one-dimensional 0/1 sequence (packed with BitStream.from_bits) and
+returns the conventional statistic and P-value; a sequence passes a
+test at significance alpha when its P-value is at least alpha. P-value
 special functions come from scipy (erfc, the regularized upper
 incomplete gamma, the normal CDF), imported by each test so that bits
 are generated without scipy; their error is far below 1e-10.
@@ -40,7 +41,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from .bitstream import BitsLike, BitStream
+from .bitstream import BitStream
 
 DEFAULT_ALPHA = 0.01
 
@@ -71,8 +72,8 @@ def _report(name: str, statistic: float, p_value: float, alpha: float,
                       bool(p_value >= alpha), alpha, params)
 
 
-def _stream(s: BitsLike, minimum: int, test: str) -> BitStream:
-    s = BitStream(s)
+def _stream(s, minimum: int, test: str) -> BitStream:
+    s = s if isinstance(s, BitStream) else BitStream.from_bits(s)
     if len(s) < minimum:
         raise InputTooShort(f"{test} needs at least {minimum} bits, got {len(s)}")
     return s
@@ -374,7 +375,8 @@ SUITE_APEN_M = 10
 
 def run_suite(s, alpha: float = DEFAULT_ALPHA) -> SuiteResult:
     """Run the whole battery with (length-capped) default parameters."""
-    bits = BitStream(s)  # one stream, so one packed view for every test
+    # one stream, so one packed view for every test
+    bits = s if isinstance(s, BitStream) else BitStream.from_bits(s)
     n = len(bits)
     if n < 1024:
         raise InputTooShort("run_suite needs at least 1024 bits")

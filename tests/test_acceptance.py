@@ -166,7 +166,7 @@ def test_criterion_7_statistical_suite_golden(cubic_run):
             assert r.p_value == golden_mt[r.name]["p_value"], r.name
             assert r.p_value >= 0.01, r.name
 
-        zeros = BitStream(np.zeros(100, dtype=np.uint8))
+        zeros = BitStream.from_bits(np.zeros(100, dtype=np.uint8))
         assert not monobit(zeros).passed
         alternating = BitStream.from01("01" * 50)
         assert monobit(alternating).passed

@@ -145,7 +145,7 @@ class TestGenerate:
                                   (5, 45, 0), (4, 48, 8)):
             n = per_seed - drop
             ds = range(-1, -c - 1, -1)
-            want = BitStream([])
+            want = BitStream.from_bits([])
             for d in ds:
                 bits, _ = generate_bits(validate_triple(0, c, d), per_seed)
                 want = want + bits[drop:]
@@ -512,7 +512,7 @@ class TestVerify:
                 bits, state = generate_bits(t, n)
                 raw = np.unpackbits(bits.packed, count=len(bits))
                 raw[bad] ^= 1
-                return BitStream(raw), state
+                return BitStream.from_bits(raw), state
             monkeypatch.setattr(cli, "generate_bits", flipped)
             code, out, err = run_cli(capsys, "verify", "--b", "0", "--c", "1",
                                      "--d", "-1", "--bits", "16")
@@ -629,22 +629,40 @@ class TestMt:
         assert code == 0
         assert np.array_equal(read_words_le(out), MT19937().generate(1000))
 
-    def test_gen_negative_count_is_usage_error(self, tmp_path, capsys):
+    @staticmethod
+    def _count_rejected(tmp_path, capsys, count):
+        # one message for every count below 1, and no file
         out = tmp_path / "mt.bin"
-        code, _, err = run_cli(capsys, "mt", "gen", "--count", "-5",
-                               "--out", str(out))
-        assert code == 2
-        assert "count must be nonnegative" in err
-        assert not out.exists()
-
-    def test_gen_zero_count_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "mt.bin"
-        code, stdout, err = run_cli(capsys, "mt", "gen", "--count", "0",
+        code, stdout, err = run_cli(capsys, "mt", "gen", "--count", count,
                                     "--out", str(out))
         assert code == 2
         assert stdout == ""
         assert err == "error: mt gen: --count must be at least 1\n"
         assert not out.exists()
+
+    def test_gen_negative_count_is_usage_error(self, tmp_path, capsys):
+        for count in ("-3", "-5"):
+            self._count_rejected(tmp_path, capsys, count)
+
+    def test_gen_zero_count_is_usage_error(self, tmp_path, capsys):
+        self._count_rejected(tmp_path, capsys, "0")
+
+    @pytest.mark.parametrize("argv", [["gen", "--count", "1000"],
+                                      ["scan", "--count", "20000"]],
+                             ids=["gen", "scan"])
+    def test_out_is_replaced_only_on_success(self, tmp_path, capsys,
+                                             monkeypatch, argv):
+        out = tmp_path / "out"
+        out.write_text("from before")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr(os, "replace", refuse)
+        code, stdout, err = run_cli(capsys, "mt", *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == "error: replace refused\n"
+        assert out.read_text() == "from before"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     def test_verify_passes(self, capsys):
         code, out, _ = run_cli(capsys, "mt", "verify", "--count", "2000")

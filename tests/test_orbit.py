@@ -185,11 +185,11 @@ class TestStateSerialization:
 
 class TestPackWords:
     def test_all_ones_word(self):
-        res = BitStream([1] * 32).pack_words()
+        res = BitStream.from_bits([1] * 32).pack_words()
         assert list(res) == [0xFFFFFFFF]
 
     def test_lsb_word(self):
-        res = BitStream([0] * 31 + [1]).pack_words()
+        res = BitStream.from_bits([0] * 31 + [1]).pack_words()
         assert list(res) == [1]
 
     def test_msb_first_prefix(self):
@@ -198,11 +198,11 @@ class TestPackWords:
 
     def test_remainder_dropped_and_counted(self):
         with pytest.raises(ValueError, match="70 bits is not a multiple of 32"):
-            BitStream([1] * 70).pack_words()
+            BitStream.from_bits([1] * 70).pack_words()
 
     def test_words_round_trip(self):
         rng = np.random.default_rng(7)
-        bits = BitStream(rng.integers(0, 2, size=320, dtype=np.uint8))
+        bits = BitStream.from_bits(rng.integers(0, 2, size=320, dtype=np.uint8))
         res = bits.pack_words()
         assert BitStream.from_words(res) == bits
 
@@ -219,14 +219,14 @@ class TestPackWords:
         for words in ([0xAE000000, 1], np.array([0xAE000000, 1], dtype=np.int64),
                       np.array([0xAE000000, 1], dtype=">u4"), iter([0xAE000000, 1])):
             assert BitStream.from_words(words).to01() == "10101110" + "0" * 55 + "1"
-        assert BitStream.from_words([]) == BitStream([])
+        assert BitStream.from_words([]) == BitStream.from_bits([])
 
     @pytest.mark.parametrize("n_bits", [31, 33, 70])
     def test_word_file_needs_whole_words(self, tmp_path, n_bits):
         path = tmp_path / "w.bin"
         with pytest.raises(ValueError, match=f"{n_bits} bits is not a multiple"):
-            write_bits(path, [BitStream([1] * n_bits)], OutputFormat.WORDS32_LE,
-                       n_bits)
+            write_bits(path, [BitStream.from_bits([1] * n_bits)],
+                       OutputFormat.WORDS32_LE, n_bits)
         assert not path.exists()
 
 
@@ -241,9 +241,9 @@ class TestPackWords:
                     with pytest.raises(ValueError, match=f"{fmt.value} writes "
                                        f"whole .*, but {n} bits is not a "
                                        f"multiple of {unit}$"):
-                        write_bits(path, [BitStream([1] * n)], fmt, n)
+                        write_bits(path, [BitStream.from_bits([1] * n)], fmt, n)
                 else:
-                    write_bits(path, [BitStream([1] * n)], fmt, n)
+                    write_bits(path, [BitStream.from_bits([1] * n)], fmt, n)
                 assert path.exists() == (n % unit == 0)
 
 
@@ -254,14 +254,14 @@ class TestPackWords:
         rng = random.Random(5)
         lengths = list(range(41)) + [0, 1, 33, 0]
         rng.shuffle(lengths)
-        pieces = [BitStream.from_int(rng.getrandbits(n), n) for n in lengths]
+        pieces = [BitStream(rng.getrandbits(n), n) for n in lengths]
         units = {OutputFormat.RAW_PACKED_BITS: 8, OutputFormat.WORDS32_LE: 32}
         for fmt in OutputFormat:
             for count in range(len(pieces) + 1):
                 part = pieces[:count]
                 fill = -sum(map(len, part)) % units.get(fmt, 1)
-                part.append(BitStream.from_int(rng.getrandbits(fill), fill))
-                whole = BitStream([])
+                part.append(BitStream(rng.getrandbits(fill), fill))
+                whole = BitStream.from_bits([])
                 for piece in part:
                     whole = whole + piece
                 path = tmp_path / f"{fmt.value}_{count}"
@@ -275,7 +275,8 @@ class TestPackWords:
             path.write_text("from before")
             with pytest.raises(ValueError, match=f"{arrive} bits arrived for "
                                f"a 32-bit {fmt.value} file"):
-                write_bits(path, [BitStream([1] * 16)] * (arrive // 16), fmt, 32)
+                write_bits(path, [BitStream.from_bits([1] * 16)] * (arrive // 16),
+                           fmt, 32)
             assert path.read_text() == "from before"
         assert len(list(tmp_path.iterdir())) == len(OutputFormat)
 
@@ -288,7 +289,7 @@ class TestBitStream:
 
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError):
-            BitStream([0, 1, 2])
+            BitStream.from_bits([0, 1, 2])
 
     def test_bytes_round_trip_with_length(self):
         s = BitStream.from01("101011100")
@@ -311,17 +312,20 @@ class TestBitStream:
             assert type(twin) is BitStream
             assert (twin.value, twin.length) == (s.value, s.length)
             assert twin.to01() == text
+            # the view never travels: each twin packs its own, read-only
+            assert "packed" not in vars(twin)
+            assert not twin.packed.flags.writeable
 
     def test_rejects_two_dimensions(self):
         with pytest.raises(ValueError, match="one-dimensional"):
-            BitStream(np.zeros((2, 4), dtype=np.uint8))
+            BitStream.from_bits(np.zeros((2, 4), dtype=np.uint8))
 
     @pytest.mark.parametrize("value, length", [
         (1 << 8, 8), (1, 0), (-1, 8), ((1 << 70) + 5, 70)])
     def test_from_int_checks_the_range(self, value, length):
         with pytest.raises(ValueError):
-            BitStream.from_int(value, length)
-        assert BitStream.from_int(value % (1 << length), length).value >= 0
+            BitStream(value, length)
+        assert BitStream(value % (1 << length), length).value >= 0
 
     @pytest.mark.parametrize("text", ["1_0", "0b1", "+1", "-1", "12", "1 0"])
     def test_from01_rejects_what_int_would_take(self, text):
@@ -339,7 +343,7 @@ class TestBitStream:
     @pytest.mark.parametrize("n", LENGTHS)
     def test_formats_match_a_numpy_reference(self, n):
         ref = self._ref(n)
-        s = BitStream(ref)
+        s = BitStream.from_bits(ref)
         text = "".join(map(str, ref.tolist()))
         raw = np.packbits(ref).tobytes()
         assert len(s) == n and np.array_equal(unpacked(s), ref)
@@ -361,13 +365,13 @@ class TestBitStream:
     @pytest.mark.parametrize("n", LENGTHS)
     def test_slices_indexes_and_joins_match_a_numpy_reference(self, n):
         ref = self._ref(n)
-        s = BitStream(ref)
+        s = BitStream.from_bits(ref)
         cuts = {0, 1, 3, n // 3, n // 2 + 5, n - 7, n - 1, n, n + 9, -3, -n}
         for a in sorted(cuts):
             for b in (None, n - 5, n // 2 + 3, 13, -1):
                 assert np.array_equal(unpacked(s[a:b]), ref[a:b]), (a, b)
-            head = BitStream(ref[:a])
-            tail = BitStream(ref[a:])
+            head = BitStream.from_bits(ref[:a])
+            tail = BitStream.from_bits(ref[a:])
             assert head + tail == s
             assert np.array_equal(unpacked(tail + head),
                                   np.concatenate([ref[a:], ref[:a]]))
@@ -404,8 +408,9 @@ class TestBitStream:
 
     def test_equality_needs_the_same_length(self):
         s = BitStream.from01("0101")
-        assert s == BitStream([0, 1, 0, 1])
+        assert s == BitStream.from_bits([0, 1, 0, 1])
         assert s != BitStream.from01("101")      # same value, shorter
         assert s != BitStream.from01("00101")    # same value, longer
         assert s != BitStream.from01("0100")
-        assert BitStream([]) == BitStream.from01("") != BitStream.from01("0")
+        assert (BitStream.from_bits([]) == BitStream.from01("")
+                != BitStream.from01("0"))

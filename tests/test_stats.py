@@ -68,7 +68,7 @@ def brute_psi_sq(bits: list, m: int) -> float:
 class TestSerial:
     def test_against_brute_force(self):
         rng = np.random.default_rng(11)
-        bits = BitStream(rng.integers(0, 2, size=2048, dtype=np.uint8))
+        bits = BitStream.from_bits(rng.integers(0, 2, size=2048, dtype=np.uint8))
         raw = [int(b) for b in bits.to01()]
         for m in (2, 3, 5):
             p1, p2 = serial(bits, m)
@@ -108,7 +108,7 @@ class TestSerial:
         n_psi2 = 4 * sum(v * v for v in pairs.values()) - n * n
         n_psi1 = 2 * (ones ** 2 + (n - ones) ** 2) - n * n
         assert n_psi2 - 2 * n_psi1 == 0 and n_psi2 != n_psi1
-        first, second = serial(BitStream(bits), 2)
+        first, second = serial(BitStream.from_bits(bits), 2)
         assert (second.statistic, second.p_value, second.passed) == (0.0, 1.0, True)
         assert first.statistic == pytest.approx((n_psi2 - n_psi1) / n, abs=1e-9)
         assert first.p_value == pytest.approx(
@@ -128,7 +128,7 @@ class TestSerial:
 class TestApproximateEntropy:
     def test_against_brute_force(self):
         rng = np.random.default_rng(12)
-        bits = BitStream(rng.integers(0, 2, size=2048, dtype=np.uint8))
+        bits = BitStream.from_bits(rng.integers(0, 2, size=2048, dtype=np.uint8))
         raw = [int(b) for b in bits.to01()]
         n = len(raw)
 
@@ -144,7 +144,8 @@ class TestApproximateEntropy:
             assert rep.statistic == pytest.approx(chi2, abs=1e-8)
 
     def test_constant_input_fails(self):
-        rep = approximate_entropy(BitStream(np.ones(4096, dtype=np.uint8)), 3)
+        ones = BitStream.from_bits(np.ones(4096, dtype=np.uint8))
+        rep = approximate_entropy(ones, 3)
         assert rep.p_value < 1e-10
 
     def test_equally_frequent_extensions_give_exactly_zero(self):
@@ -186,7 +187,7 @@ class TestPatternCounts:
                 if n < 1:
                     continue
                 bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-                got = _window_counts(BitStream(bits), m)
+                got = _window_counts(BitStream.from_bits(bits), m)
                 assert got.tolist() == brute_pattern_counts(bits.tolist(), m), \
                     (m, n)
 
@@ -196,7 +197,7 @@ class TestPatternCounts:
         for m in (13, 17, 20):
             for n in (5, 19, 21, 64, 203, 1000, 1007):
                 bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-                got = _window_counts(BitStream(bits), m)
+                got = _window_counts(BitStream.from_bits(bits), m)
                 want = Counter()
                 for i in range(n):
                     want[int("".join(str(bits[(i + j) % n])
@@ -207,7 +208,7 @@ class TestPatternCounts:
     def test_fold_equals_direct_histogram(self):
         rng = np.random.default_rng(17)
         for n in (5, 64, 1000, 4099):
-            s = BitStream(rng.integers(0, 2, size=n, dtype=np.uint8))
+            s = BitStream.from_bits(rng.integers(0, 2, size=n, dtype=np.uint8))
             for m in range(2, 18):
                 counts = _window_counts(s, m)
                 for k in (m - 1, m // 2, 1):
@@ -280,7 +281,7 @@ def kernel_inputs():
 class TestKernelsAgainstLoops:
     def test_longest_run(self):
         for bits in kernel_inputs():
-            rep = longest_run(BitStream(bits))
+            rep = longest_run(BitStream.from_bits(bits))
             m = rep.parameters["m"]
             _, pis = _LONGEST_RUN_TABLES[m]
             v = brute_longest_run_categories(bits.tolist(), m)
@@ -295,7 +296,7 @@ class TestKernelsAgainstLoops:
         bits = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
         bits[3:30] = 1  # a run of ones across three byte edges
         raw = bits.tolist()
-        s = BitStream(bits)
+        s = BitStream.from_bits(bits)
         assert monobit(s).statistic == abs(2 * sum(raw) - n) / math.sqrt(n)
         assert runs(s).statistic == 1 + sum(a != b for a, b in zip(raw, raw[1:]))
         for m in (10, 128, 7, 999, n):
@@ -306,7 +307,7 @@ class TestKernelsAgainstLoops:
 
     def test_cumulative_sums(self):
         for bits in kernel_inputs():
-            fwd, bwd = cumulative_sums(BitStream(bits))
+            fwd, bwd = cumulative_sums(BitStream.from_bits(bits))
             assert (fwd.statistic, bwd.statistic) == brute_excursions(
                 bits.tolist())
 
@@ -316,8 +317,8 @@ class TestRunSuite:
                                    40_000, 1 << 16, 100_003, 1 << 18, 1 << 20])
     def test_shared_histogram_equals_standalone_tests(self, n):
         # serial_m runs from 7 to 16 and apen_m from 4 to 10 over these n
-        s = BitStream(np.random.default_rng(n).integers(0, 2, size=n,
-                                                        dtype=np.uint8))
+        s = BitStream.from_bits(np.random.default_rng(n).integers(
+            0, 2, size=n, dtype=np.uint8))
         reports = {r.name: r for r in run_suite(s).reports}
         serial_m = reports["serial_1"].parameters["m"]
         apen_m = reports["approximate_entropy"].parameters["m"]
@@ -356,7 +357,7 @@ class TestRunSuite:
 
 class TestDegenerateInputs:
     def test_all_zeros_monobit(self):
-        rep = monobit(BitStream(np.zeros(100, dtype=np.uint8)))
+        rep = monobit(BitStream.from_bits(np.zeros(100, dtype=np.uint8)))
         assert rep.p_value < 1e-20
         assert not rep.passed
 
@@ -372,14 +373,14 @@ class TestDegenerateInputs:
         assert not rep.passed
 
     def test_all_ones_fails_frequency_family(self):
-        ones = BitStream(np.ones(100_000, dtype=np.uint8))
+        ones = BitStream.from_bits(np.ones(100_000, dtype=np.uint8))
         assert not monobit(ones).passed
         assert not block_frequency(ones, 128).passed
         for rep in cumulative_sums(ones):
             assert not rep.passed
 
     def test_runs_prerequisite_shortcut(self):
-        rep = runs(BitStream(np.ones(100, dtype=np.uint8)))
+        rep = runs(BitStream.from_bits(np.ones(100, dtype=np.uint8)))
         assert rep.p_value == 0.0
 
 
@@ -387,14 +388,14 @@ class TestReportContract:
     def test_symmetry_of_monobit(self):
         rng = np.random.default_rng(13)
         bits = rng.integers(0, 2, size=5000, dtype=np.uint8)
-        a = monobit(BitStream(bits))
-        b = monobit(BitStream(1 - bits))
+        a = monobit(BitStream.from_bits(bits))
+        b = monobit(BitStream.from_bits(1 - bits))
         assert a.statistic == b.statistic
         assert a.p_value == b.p_value
 
     def test_determinism(self):
         rng = np.random.default_rng(14)
-        bits = BitStream(rng.integers(0, 2, size=40_000, dtype=np.uint8))
+        bits = BitStream.from_bits(rng.integers(0, 2, size=40_000, dtype=np.uint8))
         first = run_suite(bits)
         second = run_suite(bits)
         for x, y in zip(first.reports, second.reports):
@@ -402,7 +403,7 @@ class TestReportContract:
 
     def test_p_values_in_range_and_pass_rule(self):
         rng = np.random.default_rng(15)
-        bits = BitStream(rng.integers(0, 2, size=40_000, dtype=np.uint8))
+        bits = BitStream.from_bits(rng.integers(0, 2, size=40_000, dtype=np.uint8))
         res = run_suite(bits, alpha=0.01)
         assert len(res.reports) == 9
         for rep in res.reports:
@@ -430,7 +431,7 @@ class TestReportContract:
         with pytest.raises(InputTooShort):
             monobit(BitStream.from01("0101"))
         with pytest.raises(InputTooShort):
-            run_suite(BitStream(np.zeros(512, dtype=np.uint8)))
+            run_suite(BitStream.from_bits(np.zeros(512, dtype=np.uint8)))
 
 
 class TestSpecialFunctionAccuracy:
