@@ -27,7 +27,7 @@ from . import __version__
 from .bitstream import (BitStream, OutputFormat, check_whole_units, read_bits,
                         read_words_le, replace_on_success, write_bits,
                         write_words_le)
-from .mt19937 import (MT19937, DEFAULT_SEED, lag_pairs_csv,
+from .mt19937 import (MT19937, DEFAULT_SEED, N, lag_pairs_csv,
                       load_recurrence_matrices, recover_matrices,
                       scan_conditions_ab, verify_recurrence)
 from .orbit import (CoeffTriple, ConditionViolation, OrbitState,
@@ -212,8 +212,10 @@ def cmd_mt(args) -> int:
     else:
         seed, count = (v if getattr(args, k) is None else getattr(args, k)
                        for k, v in _MT_DEFAULTS.items())
-        if args.mt_cmd == "gen" and count < 1:
-            raise ValueError("mt gen: --count must be at least 1")
+        # the analyses check the recurrence at n >= N, so need N + 1 words
+        least = 1 if args.mt_cmd == "gen" else N + 1
+        if count < least:
+            raise ValueError(f"mt {args.mt_cmd}: --count must be at least {least}")
         words = MT19937(seed).generate(count)
     if args.mt_cmd == "gen":
         write_words_le(args.out, words)

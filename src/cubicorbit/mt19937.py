@@ -99,11 +99,26 @@ def _as_words(outputs: Sequence[int] | np.ndarray) -> np.ndarray:
 
 
 def _matvec_bulk(m: Gf2Matrix32, words: np.ndarray) -> np.ndarray:
-    """Apply a bit matrix to every word of a uint32 array."""
-    acc = np.zeros(words.shape, dtype=np.uint32)
-    for row in m.rows:
-        bit = np.bitwise_count(words & np.uint32(row)) & np.uint8(1)
-        acc = (acc << np.uint32(1)) | bit.astype(np.uint32)
+    """Apply a bit matrix to every word of a uint32 array, by byte tables.
+
+    M y is linear in y, so it is the XOR of M applied to each of y's four
+    bytes in place: table k maps a byte value v to M (v << 8k). The tables
+    are built from the matrix's columns, the images of the single-bit
+    words, and the bytes are read little-endian whatever the host order.
+    """
+    rows = np.array(m.rows, dtype=np.uint32)
+    shifts = np.arange(32, dtype=np.uint32)
+    # column j, M (1 << j), has bit 31 - i set where row i has bit j set
+    cols = np.bitwise_or.reduce(((rows >> shifts[:, None]) & 1) << shifts[::-1],
+                                axis=1)
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                         bitorder="little").astype(bool)  # bits[v, b]: bit b of v
+    tables = np.bitwise_xor.reduce(
+        np.where(bits, cols.reshape(4, 1, 8), np.uint32(0)), axis=2)
+    data = np.ascontiguousarray(words, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    acc = np.take(tables[0], data[:, 0])
+    for k in (1, 2, 3):
+        acc ^= np.take(tables[k], data[:, k])
     return acc
 
 
@@ -178,11 +193,9 @@ def scan_conditions_ab(outputs: Sequence[int] | np.ndarray,
     L = ys.size
     lag623 = ys[1:L - N + 1]
     lag624 = ys[:L - N]
-    bad = np.zeros(lag623.shape, dtype=np.uint8)
-    for i in range(1, 9):
-        bad |= np.bitwise_count(lag623 & np.uint32(a.row(i))) & np.uint8(1)
-    bad |= np.bitwise_count(lag624 & np.uint32(b.row(2))) & np.uint8(1)
-    ns = np.nonzero(bad == 0)[0] + N
+    top_a = _matvec_bulk(a, lag623) >> 24  # rows 1-8: the top byte
+    row2_b = np.bitwise_count(lag624 & np.uint32(b.row(2))) & 1
+    ns = np.nonzero((top_a == 0) & (row2_b == 0))[0] + N
     return [LagPair(int(n),
                     int(ys[n - LAG]) >> 24,
                     int(ys[n]) >> 24) for n in ns]

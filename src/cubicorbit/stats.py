@@ -19,9 +19,11 @@ function is pure, so callers may fan tests out over a shared sequence
 freely.
 
 Every kernel reads the stream packed, never one byte per bit: popcounts
-of its integer `value` for monobit and runs, and per-byte tables over
-its bytes (`BitStream.packed`) for block frequency, longest run and
-cumulative sums. The pattern tests (serial, approximate entropy) count
+of its integer `value` for monobit and runs, per-byte tables over its
+bytes (`BitStream.packed`) for block frequency, and tables over its
+big-endian 16-bit chunks for longest run and cumulative sums. Those
+65536-entry tables are built from the byte tables on first use, not at
+import. The pattern tests (serial, approximate entropy) count
 the cyclic overlapping windows from wide words read at each byte, and
 fold that histogram to the shorter pattern lengths. Each public test
 builds the histogram of the sequence it is given; run_suite builds one at
@@ -36,7 +38,9 @@ round to a tiny negative, for which the incomplete gamma returns NaN.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
+from functools import cache, reduce
 from typing import Dict, List
 
 import numpy as np
@@ -99,6 +103,39 @@ _PARTIAL = np.cumsum(2 * _BYTE_BITS.astype(np.int8) - 1, axis=1, dtype=np.int8)
 _NET = _PARTIAL[:, -1]
 _RISE = _PARTIAL.max(axis=1) - _NET
 _FALL = _NET - _PARTIAL.min(axis=1)
+
+
+# the same quantities for 16-bit chunks, two bytes read big-endian, built
+# from the byte tables on first use: axis 0 of each outer operation is the
+# chunk's high byte, axis 1 its low byte
+_HI, _LO = np.arange(256)[:, None], np.arange(256)[None, :]
+
+
+def _flat_read_only(*tables: np.ndarray) -> tuple:
+    """The tables raveled and read-only: every caller shares the cached ones."""
+    flat = tuple(t.ravel() for t in tables)
+    for t in flat:
+        t.flags.writeable = False
+    return flat
+
+
+@cache
+def _run_tables16() -> tuple:
+    """(LEAD16, TRAIL16, INNER16), indexed by the 16-bit chunk."""
+    lead = np.where(_HI == 0xFF, 8 + _LEAD[_LO], _LEAD[_HI])
+    trail = np.where(_LO == 0xFF, 8 + _TRAIL[_HI], _TRAIL[_LO])
+    inner = np.maximum(np.maximum(_INNER[_HI], _INNER[_LO]),
+                       _TRAIL[_HI] + _LEAD[_LO])
+    return _flat_read_only(lead, trail, inner)
+
+
+@cache
+def _walk_tables16() -> tuple:
+    """(NET16, RISE16, FALL16), indexed by the 16-bit chunk."""
+    net = _NET[_HI] + _NET[_LO]
+    rise = np.maximum(_RISE[_HI] - _NET[_LO], _RISE[_LO])
+    fall = np.maximum(_FALL[_HI] + _NET[_LO], _FALL[_LO])
+    return _flat_read_only(net, rise, fall)
 
 
 def monobit(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
@@ -169,19 +206,16 @@ def longest_run(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     (lo, hi), pis = _LONGEST_RUN_TABLES[m]
     n_blocks, width = n // m, m // 8  # every block size is whole bytes
     blocks = s.packed[: n_blocks * width].reshape(n_blocks, width)
-    # each block behind a zero sentinel byte, plus one closing zero: a run
-    # of ones across bytes lies between two consecutive bytes that are not
-    # 0xFF, and the gaps of block k start at its sentinel k * (width + 1)
-    padded = np.zeros(n_blocks * (width + 1) + 1, dtype=np.uint8)
-    padded[:-1].reshape(n_blocks, width + 1)[:, 1:] = blocks
-    edges = np.flatnonzero(padded != 0xFF)
-    ends = padded[edges]
-    across = 8 * (np.diff(edges) - 1)
-    across += np.take(_TRAIL, ends[:-1])
-    across += np.take(_LEAD, ends[1:])
-    sentinels = np.searchsorted(edges, np.arange(n_blocks) * (width + 1))
-    longest = np.maximum(np.maximum.reduceat(across, sentinels),
-                         np.take(_INNER, blocks).max(axis=1))
+    # a block's longest run lies inside one chunk or across two neighbours;
+    # one across three or more holds an all-ones chunk, whose inner run is
+    # 16 >= hi, so the clip below makes this exact
+    if m == 8:
+        chunks, (lead, trail, inner) = blocks, (_LEAD, _TRAIL, _INNER)
+    else:
+        chunks, (lead, trail, inner) = blocks.view(">u2"), _run_tables16()
+    across = np.take(trail, chunks[:, :-1]) + np.take(lead, chunks[:, 1:])
+    longest = np.maximum(np.take(inner, chunks).max(axis=1),
+                         across.max(axis=1, initial=0))
     cats = np.clip(longest, lo, hi) - lo
     v = np.bincount(cats, minlength=hi - lo + 1).astype(np.float64)
     expected = np.asarray(pis) * n_blocks
@@ -277,28 +311,36 @@ def cumulative_sums(s, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
     n = len(s)
     total = 2 * s.value.bit_count() - n
     # the backward walk's partial sums are S_n - S_j for 0 <= j < n, S_0 = 0,
-    # so both walks need only the extremes of S_1..S_{n-1}: the whole bytes
-    # through the tables, from the sum at each byte's end, then r more bits
-    whole, r = divmod(n - 1, 8)
-    head = s.packed[:whole]
-    ends = _cumsum(np.take(_NET, head), n)
-    lo = min(0, int((ends - np.take(_FALL, head)).min()))
-    hi = max(0, int((ends + np.take(_RISE, head)).max()))
-    if r:
-        tail = ends[-1] + _PARTIAL[s.packed[whole], :r]
-        lo, hi = min(lo, int(tail.min())), max(hi, int(tail.max()))
+    # so both walks need only the extremes of S_0..S_n (S_n changes neither):
+    # the whole 16-bit chunks before bit n - 1 through the tables, from the
+    # sum at each chunk's end, then the 1 to 16 bits left through the byte
+    # table of partial sums
+    whole = (n - 1) // 16
+    net, rise, fall = _walk_tables16()
+    head = s.packed[:2 * whole].view(">u2")
+    ends = _cumsum(np.take(net, head), n)
+    lo = min(0, int((ends - np.take(fall, head)).min()))
+    hi = max(0, int((ends + np.take(rise, head)).max()))
+    rest = _PARTIAL[s.packed[2 * whole:2 * whole + 2]]
+    rest[1:] += rest[0, -1]  # a second byte's sums start where the first's end
+    tail = ends[-1] + rest.ravel()[:n - 16 * whole]
+    lo, hi = min(lo, int(tail.min())), max(hi, int(tail.max()))
     excursions = (("forward", max(-lo, hi, abs(total))),
                   ("backward", max(abs(total - lo), abs(total - hi))))
+    sqrt_n = math.sqrt(n)
+
+    def term(z: int, first: int, a: int, b: int) -> float:
+        # the sum over first <= k <= (n // z - 1) // 4 of
+        # ndtr((4k + a) z / sqrt n) - ndtr((4k + b) z / sqrt n), added in
+        # order of k as a loop would add it
+        k = np.arange(first, (n // z - 1) // 4 + 1)
+        diff = ndtr((4 * k + a) * z / sqrt_n) - ndtr((4 * k + b) * z / sqrt_n)
+        return reduce(operator.add, diff.tolist(), 0)
+
     reports = []
     for mode, z in excursions:
-        sqrt_n = math.sqrt(n)
-        term1 = sum(
-            ndtr((4 * k + 1) * z / sqrt_n) - ndtr((4 * k - 1) * z / sqrt_n)
-            for k in range((-n // z + 1) // 4, ((n // z) - 1) // 4 + 1))
-        term2 = sum(
-            ndtr((4 * k + 3) * z / sqrt_n) - ndtr((4 * k + 1) * z / sqrt_n)
-            for k in range((-n // z - 3) // 4, ((n // z) - 1) // 4 + 1))
-        p = 1.0 - term1 + term2
+        p = (1.0 - term(z, (-n // z + 1) // 4, 1, -1)
+             + term(z, (-n // z - 3) // 4, 3, 1))
         reports.append(_report(f"cumulative_sums_{mode}", float(z), p, alpha))
     return reports
 

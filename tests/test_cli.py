@@ -647,6 +647,21 @@ class TestMt:
     def test_gen_zero_count_is_usage_error(self, tmp_path, capsys):
         self._count_rejected(tmp_path, capsys, "0")
 
+    @pytest.mark.parametrize("count", ["-3", "0", "624"])
+    @pytest.mark.parametrize("cmd", ["verify", "recover", "scan"])
+    def test_analysis_count_below_625_is_usage_error(self, capsys, monkeypatch,
+                                                     cmd, count):
+        # one message that names the command and the flag; no words drawn
+        monkeypatch.setattr(cli, "MT19937", None)
+        code, stdout, err = run_cli(capsys, "mt", cmd, "--count", count)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: mt {cmd}: --count must be at least 625\n"
+
+    def test_verify_at_625_checks_one_index(self, capsys):
+        code, out, _ = run_cli(capsys, "mt", "verify", "--count", "625")
+        assert code == 0
+        assert out == "pass: recurrence holds at all 1 checkable indices\n"
+
     @pytest.mark.parametrize("argv", [["gen", "--count", "1000"],
                                       ["scan", "--count", "20000"]],
                              ids=["gen", "scan"])

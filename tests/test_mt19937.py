@@ -8,7 +8,8 @@ from cubicorbit import (MT19937, generate_bits, load_recurrence_matrices,
                         recover_matrices, scan_conditions_ab, temper,
                         untemper, validate_triple, verify_recurrence)
 from cubicorbit.gf2 import Gf2Matrix32
-from cubicorbit.mt19937 import DEFAULT_SEED, RankDeficient, lag_pairs_csv
+from cubicorbit.mt19937 import (DEFAULT_SEED, RankDeficient, _matvec_bulk,
+                                lag_pairs_csv)
 
 # first outputs of the reference implementation for the default seed
 KNOWN_FIRST = [3499211612, 581869302, 3890346734, 3586334585, 545404204]
@@ -162,6 +163,38 @@ class TestMatrices:
         a, b = load_recurrence_matrices()
         assert derived_a == a
         assert derived_b == b
+
+
+class TestMatvecBulk:
+    """The byte-table product equals Gf2Matrix32.mul word by word."""
+
+    @staticmethod
+    def matrices():
+        a, b = load_recurrence_matrices()
+        rng = random.Random(19)
+        yield from (a, b)
+        yield Gf2Matrix32(tuple(1 << (31 - i) for i in range(32)))  # identity
+        yield Gf2Matrix32((0,) * 32)
+        for _ in range(8):
+            yield Gf2Matrix32(tuple(rng.getrandbits(32) for _ in range(32)))
+
+    @staticmethod
+    def assert_products(m, words):
+        got = _matvec_bulk(m, words)
+        assert got.dtype == np.uint32
+        assert got.tolist() == [m.mul(int(y)) for y in words]
+
+    def test_edge_and_single_bit_words(self):
+        words = np.array([0, 0xFFFFFFFF] + [1 << j for j in range(32)],
+                         dtype=np.uint32)
+        for m in self.matrices():
+            self.assert_products(m, words)
+
+    def test_offset_strided_and_big_endian_words(self):
+        ys = MT19937().generate(3001)
+        for m in self.matrices():
+            for words in (ys, ys[1:], ys[3:-2:3], ys[1:].astype(">u4")):
+                self.assert_products(m, words)
 
 
 class TestRecurrence:

@@ -1,5 +1,7 @@
 import inspect
 import math
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -253,7 +255,7 @@ def kernel_inputs():
     """Random bits with all-ones and all-zeros blocks, at each longest-run
     block size, with lengths that are not a multiple of the block; runs of
     ones across byte and block edges, and walks whose extreme partial sum
-    lies in the last byte or at S_n, at every length mod 8."""
+    lies in the last byte or at S_n, at every length mod 16."""
     rng = np.random.default_rng(18)
     for n, m in ((1000 + 5, 8), (7000 + 77, 128), (760_000 + 123, 10_000)):
         bits = rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -264,7 +266,7 @@ def kernel_inputs():
     yield np.ones(1000, dtype=np.uint8)
     yield np.zeros(1000, dtype=np.uint8)
     yield rng.integers(0, 2, size=777, dtype=np.uint8)
-    for n in range(1000, 1008):
+    for n in range(1000, 1016):  # every n - 1 mod 16: the walk's 16-bit chunks
         for size, m in ((n, 8), (8 * n, 128)):
             bits = rng.integers(0, 2, size=size, dtype=np.uint8)
             bits[m - 5:m + 3] = 1  # ends one block, starts the next
@@ -278,18 +280,66 @@ def kernel_inputs():
             yield ending(n, tail)
 
 
+def assert_longest_run_matches_loop(bits: np.ndarray) -> None:
+    rep = longest_run(BitStream.from_bits(bits))
+    m = rep.parameters["m"]
+    _, pis = _LONGEST_RUN_TABLES[m]
+    v = brute_longest_run_categories(bits.tolist(), m)
+    n_blocks = bits.size // m
+    chi2 = sum((vi - n_blocks * p) ** 2 / (n_blocks * p)
+               for vi, p in zip(v, pis))
+    assert rep.parameters["blocks"] == n_blocks
+    assert rep.statistic == pytest.approx(chi2, rel=1e-12)
+
+
+def brute_chunk_tables() -> dict:
+    """Run and walk quantities of every 16-bit chunk, MSB first, by a loop
+    over its bits."""
+    bits = (np.arange(1 << 16)[:, None] >> np.arange(15, -1, -1)) & 1
+    run = inner = walk = np.zeros(1 << 16, dtype=np.int64)
+    peak, trough = walk - 16, walk + 16
+    for column in bits.T:
+        run = (run + 1) * column
+        inner = np.maximum(inner, run)
+        walk = walk + 2 * column - 1
+        peak, trough = np.maximum(peak, walk), np.minimum(trough, walk)
+    lead = np.where(bits.all(axis=1), 16, bits.argmin(axis=1))
+    return {"lead": lead, "trail": run, "inner": inner,
+            "net": walk, "rise": peak - walk, "fall": walk - trough}
+
+
+class TestChunkTables:
+    def test_against_bit_loops(self):
+        want = brute_chunk_tables()
+        tables = stats._run_tables16() + stats._walk_tables16()
+        for name, table in zip(want, tables):
+            assert table.shape == (1 << 16,), name
+            assert not table.flags.writeable, name
+            assert np.array_equal(table, want[name]), name
+        assert sum(t.nbytes for t in tables) < 512 * 1024
+
+    def test_built_on_first_use_not_at_import(self):
+        code = ("import cubicorbit.cli, cubicorbit.stats as s; "
+                "print(s._run_tables16.cache_info().currsize, "
+                "s._walk_tables16.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["0", "0"]
+
+
 class TestKernelsAgainstLoops:
     def test_longest_run(self):
         for bits in kernel_inputs():
-            rep = longest_run(BitStream.from_bits(bits))
-            m = rep.parameters["m"]
-            _, pis = _LONGEST_RUN_TABLES[m]
-            v = brute_longest_run_categories(bits.tolist(), m)
-            n_blocks = bits.size // m
-            chi2 = sum((vi - n_blocks * p) ** 2 / (n_blocks * p)
-                       for vi, p in zip(v, pis))
-            assert rep.parameters["blocks"] == n_blocks
-            assert rep.statistic == pytest.approx(chi2, rel=1e-12)
+            assert_longest_run_matches_loop(bits)
+
+    @pytest.mark.parametrize("n", [6271, 6272, 749_999, 750_000])
+    def test_longest_run_at_block_size_edges(self, n):
+        # m = 8, 128, 128 and 10000; a third each of ones with p = 0.5 and
+        # 0.6 fills the categories with runs across chunk edges, and one
+        # with p = 0.97 has runs over many chunks
+        rng = np.random.default_rng(n)
+        p = np.array([0.5, 0.6, 0.97])[np.arange(n) * 3 // n]
+        assert_longest_run_matches_loop((rng.random(n) < p).astype(np.uint8))
 
     @pytest.mark.parametrize("n", range(1000, 1008))
     def test_monobit_runs_and_block_frequency(self, n):
