@@ -27,7 +27,7 @@ from . import __version__
 from .bitstream import (BitStream, OutputFormat, check_whole_units, read_bits,
                         read_words_le, replace_on_success, write_bits,
                         write_words_le)
-from .mt19937 import (MT19937, DEFAULT_SEED, N, lag_pairs_csv,
+from .mt19937 import (MT19937, DEFAULT_SEED, N, RankDeficient, lag_pairs_csv,
                       load_recurrence_matrices, recover_matrices,
                       scan_conditions_ab, verify_recurrence)
 from .orbit import (CoeffTriple, ConditionViolation, OrbitState,
@@ -229,7 +229,12 @@ def cmd_mt(args) -> int:
         print(f"fail: first violation at n={check.first_violation}")
         return EXIT_FAIL
     if args.mt_cmd == "recover":
-        ra, rb = recover_matrices(words)
+        try:
+            ra, rb = recover_matrices(words)
+        except RankDeficient:
+            raise ValueError(f"mt recover: --count {count} gives a "
+                             "rank-deficient system; more words are needed"
+                             ) from None
         held_out = verify_recurrence(words, ra, rb)
         if (ra, rb) == (a, b) and held_out.ok:
             print("pass: recovered matrices match the packaged data")

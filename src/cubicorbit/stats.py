@@ -19,15 +19,18 @@ function is pure, so callers may fan tests out over a shared sequence
 freely.
 
 Every kernel reads the stream packed, never one byte per bit: popcounts
-of its integer `value` for monobit and runs, per-byte tables over its
-bytes (`BitStream.packed`) for block frequency, and tables over its
-big-endian 16-bit chunks for longest run and cumulative sums. Those
-65536-entry tables are built from the byte tables on first use, not at
-import. The pattern tests (serial, approximate entropy) count
-the cyclic overlapping windows from wide words read at each byte, and
-fold that histogram to the shorter pattern lengths. Each public test
-builds the histogram of the sequence it is given; run_suite builds one at
-the serial length and passes it to both tests' private kernels.
+of its integer `value` for monobit and runs, popcounts of its big-endian
+64-bit words (from `BitStream.packed`) and a prefix sum over them for
+block frequency, and tables over its big-endian 16-bit chunks for
+longest run and cumulative sums. Those 65536-entry tables are built from
+the byte tables on first use, not at import. The pattern tests (serial,
+approximate entropy) count the cyclic overlapping m-bit windows two at a
+time: one histogram of the (m+1)-bit windows at the even bit offsets of
+the 64-bit word read at each byte gives the m-bit windows at both that
+offset and the next. That histogram folds to the shorter pattern
+lengths. Each public test builds the histogram of the sequence it is
+given; run_suite builds one at the serial length and passes it to both
+tests' private kernels.
 
 A pattern statistic that is exactly 0 is reported as 0 with P-value 1:
 serial's differences are decided on integers, approximate entropy's by
@@ -88,10 +91,11 @@ def _cumsum(x: np.ndarray, n: int) -> np.ndarray:
     return np.cumsum(x, dtype=np.int32 if n < 1 << 31 else np.int64)
 
 
+# the ones among a 64-bit word's top r bits are those of w & _TOP_BITS64[r]
+_TOP_BITS64 = ~(np.uint64(2**64 - 1) >> np.arange(64, dtype=np.uint64))
+
 # per-byte tables, indexed by the byte; _BYTE_BITS[b] is b's bits MSB first
 _BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-# the ones among a byte's top r bits are those of b & _TOP_BITS[r]
-_TOP_BITS = (0xFF00 >> np.arange(8)).astype(np.uint8)
 # runs of ones: leading, trailing, and the longest anywhere in the byte
 _LEAD = _BYTE_BITS.cumprod(axis=1).sum(axis=1).astype(np.uint8)
 _TRAIL = _BYTE_BITS[:, ::-1].cumprod(axis=1).sum(axis=1).astype(np.uint8)
@@ -158,13 +162,17 @@ def block_frequency(s, m: int = 128, alpha: float = DEFAULT_ALPHA) -> TestReport
     n_blocks = len(s) // m
     if n_blocks < 1:
         raise InputTooShort(f"block_frequency needs at least one {m}-bit block")
-    # the ones before bit k: those of the bytes before byte k // 8, plus
-    # those of its top k % 8 bits; a zero byte closes the data for k = n
-    data = np.append(s.packed, np.uint8(0))
-    ones = np.bitwise_count(data)
+    # the ones before bit k: those of the big-endian 64-bit words before
+    # word k // 64, plus those of its top k % 64 bits; a zero word closes
+    # the data for k = n
+    packed = s.packed
+    buf = np.zeros((packed.size + 15) // 8 * 8, dtype=np.uint8)
+    buf[:packed.size] = packed
+    words = buf.view(">u8").astype(np.uint64)
+    ones = np.bitwise_count(words)
     through = _cumsum(ones, len(s))
-    byte, r = np.divmod(np.arange(n_blocks + 1, dtype=np.int64) * m, 8)
-    before = through[byte] - ones[byte] + np.bitwise_count(data[byte] & _TOP_BITS[r])
+    word, r = np.divmod(np.arange(n_blocks + 1, dtype=np.int64) * m, 64)
+    before = through[word] - ones[word] + np.bitwise_count(words[word] & _TOP_BITS64[r])
     pi = np.diff(before) / m
     chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
     p = gammaincc(n_blocks / 2.0, chi2 / 2.0)
@@ -224,25 +232,45 @@ def longest_run(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     return _report("longest_run", chi2, p, alpha, m=m, blocks=n_blocks)
 
 
+def _paired_windows(s: BitStream, m: int):
+    """The (m+1)-bit windows inside the stream at each even bit offset p.
+
+    Yields one array per offset p = 0, 2, 4, 6: the windows at bits p,
+    p + 8, p + 16, ... that end by bit n - 1, read from the big-endian
+    64-bit word at each byte (m <= 57). The next array overwrites it.
+    """
+    n = len(s)
+    if n <= m:
+        return
+    buf = np.append(s.packed, np.zeros(7, dtype=np.uint8))
+    words = np.ndarray((n - m - 1) // 8 + 1, dtype=">u8", buffer=buf,
+                       strides=(1,)).astype(np.uint64)
+    win = np.empty_like(words)
+    for offset in range(0, min(8, n - m), 2):
+        k = (n - m - 1 - offset) // 8 + 1  # windows at this bit offset
+        np.right_shift(words[:k], 63 - m - offset, out=win[:k])
+        win[:k] &= (2 << m) - 1
+        yield win[:k]
+
+
 def _window_counts(s: BitStream, m: int) -> np.ndarray:
     """Counts of the n cyclic m-bit windows: window i is bits i..i+m-1 mod n.
 
-    The windows inside the stream are read from the big-endian 64-bit
-    word at each byte, shifted for each of the 8 bit offsets (m <= 57).
-    The at most m - 1 windows that wrap are read from the integer.
+    The windows inside the stream are counted in pairs: the (m+1)-bit
+    window at an even bit position holds the m-bit window there in its top
+    m bits and the one after it in its low m bits, so one histogram of the
+    (m+1)-bit windows at the 4 even offsets (_paired_windows) folds both
+    ways into the m-bit counts. The last in-stream window, at n - m, has
+    no (m+1)-bit window of its own when n - m is even, and is counted
+    alone. The at most m - 1 windows that wrap are read from the integer.
     """
     n, mask = len(s), (1 << m) - 1
-    counts = np.zeros(1 << m, dtype=np.int64)
-    if n >= m:
-        buf = np.append(s.packed, np.zeros(7, dtype=np.uint8))
-        words = np.ndarray((n - m) // 8 + 1, dtype=">u8", buffer=buf,
-                           strides=(1,)).astype(np.uint64)
-        win = np.empty_like(words)
-        for offset in range(min(8, n - m + 1)):
-            k = (n - m - offset) // 8 + 1  # windows at this bit offset
-            np.right_shift(words[:k], 64 - m - offset, out=win[:k])
-            win[:k] &= mask
-            counts += np.bincount(win[:k].view(np.int64), minlength=1 << m)
+    wide = np.zeros(2 << m, dtype=np.int64)
+    for win in _paired_windows(s, m):
+        wide += np.bincount(win.view(np.int64), minlength=2 << m)
+    counts = wide[0::2] + wide[1::2] + wide[:1 << m] + wide[1 << m:]
+    if n >= m and (n - m) % 2 == 0:
+        counts[s.value & mask] += 1
     # the wrapping windows start in the last t bits and run on into the
     # first m - 1 bits of the cycle, which repeats the stream if n < m - 1
     t = min(n, m - 1)

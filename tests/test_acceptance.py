@@ -162,8 +162,10 @@ def test_criterion_7_statistical_suite_golden(cubic_run):
         mt_bits = BitStream.from_words(MT19937(5489).generate(31_250))
         res_mt = run_suite(mt_bits)
         golden_mt = json.loads((DATA / "golden_stats_mt_1e6.json").read_text())
+        assert {r.name for r in res_mt.reports} == set(golden_mt)
         for r in res_mt.reports:
             assert r.p_value == golden_mt[r.name]["p_value"], r.name
+            assert r.statistic == golden_mt[r.name]["statistic"], r.name
             assert r.p_value >= 0.01, r.name
 
         zeros = BitStream.from_bits(np.zeros(100, dtype=np.uint8))

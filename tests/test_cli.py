@@ -689,6 +689,14 @@ class TestMt:
         assert code == 0
         assert "match" in out
 
+    @pytest.mark.parametrize("count", ["625", "650"])
+    def test_recover_rank_deficient_count_is_usage_error(self, capsys, count):
+        # at least 625 words, but too few to reach rank 64
+        code, stdout, err = run_cli(capsys, "mt", "recover", "--count", count)
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: mt recover: --count {count} gives a "
+                       "rank-deficient system; more words are needed\n")
+
     def test_scan_mt_diagonal(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         code, _, _ = run_cli(capsys, "mt", "scan", "--count", "20000",

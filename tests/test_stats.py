@@ -168,14 +168,22 @@ class TestApproximateEntropy:
         assert 0.0 < rep.statistic < 1.0 and rep.passed
 
 
-def brute_pattern_counts(bits: list, m: int) -> list:
-    """Histogram of the n cyclic m-bit windows, one window at a time."""
+def brute_windows(bits: list, m: int) -> list:
+    """The n cyclic m-bit windows, one window at a time."""
     n = len(bits)
-    counts = [0] * (1 << m)
+    windows = []
     for i in range(n):
         v = 0
         for j in range(m):
             v = 2 * v + bits[(i + j) % n]
+        windows.append(v)
+    return windows
+
+
+def brute_pattern_counts(bits: list, m: int) -> list:
+    """Histogram of the n cyclic m-bit windows."""
+    counts = [0] * (1 << m)
+    for v in brute_windows(bits, m):
         counts[v] += 1
     return counts
 
@@ -206,6 +214,34 @@ class TestPatternCounts:
                                      for j in range(m)), 2)] += 1
                 assert {int(k): int(got[k]) for k in np.flatnonzero(got)} == \
                     dict(want), (m, n)
+
+    def test_every_offset_near_the_end(self):
+        # n - m = 0..17: fewer than 8 offsets hold an in-stream window, and
+        # when n - m is even, the last window, at n - m, has no odd window
+        # after it to pair with, so it is counted alone
+        rng = np.random.default_rng(20)
+        for m in range(1, 21):
+            for n in range(m, m + 18):
+                bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+                got = _window_counts(BitStream.from_bits(bits), m)
+                want = Counter(brute_windows(bits.tolist(), m))
+                assert got.size == 1 << m
+                assert {int(k): int(got[k]) for k in np.flatnonzero(got)} == \
+                    dict(want), (m, n)
+
+    def test_paired_windows_fill_the_word_at_m_57(self):
+        # the 58-bit window at offset 6 ends on the word's last bit; the
+        # histogram of 2^57 bins is never built, so the reader is checked
+        m = 57
+        rng = np.random.default_rng(57)
+        for n in [*range(m, m + 18), 200, 1001]:
+            bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+            raw = "".join(map(str, bits.tolist()))
+            got = [w.tolist() for w in
+                   stats._paired_windows(BitStream.from_bits(bits), m)]
+            want = [[int(raw[i:i + m + 1], 2) for i in range(p, n - m, 8)]
+                    for p in range(0, min(8, n - m), 2)]
+            assert got == want, n
 
     def test_fold_equals_direct_histogram(self):
         rng = np.random.default_rng(17)
@@ -354,6 +390,23 @@ class TestKernelsAgainstLoops:
             assert rep.parameters["blocks"] == n // m
             assert rep.statistic == pytest.approx(brute_block_frequency(raw, m),
                                                   rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 8, 63, 64, 65, 127, 128, 129])
+    def test_block_frequency_at_every_length_mod_64(self, m):
+        # n = 1000..1063 takes every n mod 64; at n = 1024 the last block
+        # of m = 2, 8, 64 and 128 ends at bit n, in the zero pad word
+        rng = np.random.default_rng(m)
+        for n in range(1000, 1064):
+            bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+            rep = block_frequency(BitStream.from_bits(bits), m)
+            assert rep.parameters["blocks"] == n // m
+            assert rep.statistic == pytest.approx(
+                brute_block_frequency(bits.tolist(), m), rel=1e-12, abs=1e-12)
+
+    def test_top_bits_table(self):
+        want = [sum(1 << (63 - i) for i in range(r)) for r in range(64)]
+        assert stats._TOP_BITS64.dtype == np.uint64
+        assert stats._TOP_BITS64.tolist() == want
 
     def test_cumulative_sums(self):
         for bits in kernel_inputs():
