@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Sequence
@@ -99,6 +98,8 @@ def cmd_generate(args) -> int:
         check_whole_units(fmt, n_bits)
     except ValueError as exc:
         raise ValueError(f"generate: --format {exc}") from None
+    if n_jobs > 1:  # only a pool needs multiprocessing: import it here
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(n_jobs) if n_jobs > 1 else nullcontext() as pool:
         if args.seed_set:
             jobs = [(m.as_tuple(), per_seed, drop) for m in fam.members]

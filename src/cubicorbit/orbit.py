@@ -29,10 +29,12 @@ triple is the Taylor shift 8^n * f((x + m) / 2^n), i.e.
 holds on every shift, as b'^2 - 3c' = 4^n (b^2 - 3c), so building it,
 shifted(t, m, n), certifies all n bits at once: the one certificate
 check. jump() finds m by integer Newton steps with precision doubling,
-certifying every step that way, at a few big multiplications and one
-division per doubling against O(n^2) for n single steps. step() is the
-one-bit reference the tests compare jump() with; seeds.merger_audit
-confirms collisions with it and walks chains back with inverse_step().
+certifying every step that way, at one square, two products and one
+division per doubling against O(n^2) for n single steps. Condition (i)
+on a wide triple is read off the top 64 bits of b (_square_exceeds), so
+the certificate takes no full square of b. step() is the one-bit
+reference the tests compare jump() with; seeds.merger_audit confirms
+collisions with it and walks chains back with inverse_step().
 
 The root oracle, isolate_root_bits() and refine_to_resolution(), returns
 that m: alpha lies in [m / 2^k, (m+1) / 2^k]. It re-checks m with
@@ -68,9 +70,37 @@ class ConditionViolation(ValueError):
                          f"(b,c,d)=({_show(b)},{_show(c)},{_show(d)})")
 
 
+def _square_exceeds(a: int, v: int) -> bool:
+    """a * a > v for a >= 2^64, decided from the top 64 bits of a if they can.
+
+    With s = bitlen(a) - 64 >= 1, ha = a >> s and hv = v >> 2s (a floor,
+    also for v < 0):
+
+        ha * 2^s <= a < (ha + 1) * 2^s,   hv * 4^s <= v < (hv + 1) * 4^s.
+
+    If ha^2 > hv, that is ha^2 >= hv + 1, then a^2 >= ha^2 * 4^s >=
+    (hv + 1) * 4^s > v. If (ha + 1)^2 <= hv, then a^2 < (ha + 1)^2 * 4^s
+    <= hv * 4^s <= v. Otherwise ha^2 <= hv < (ha + 1)^2 and a * a is
+    computed exactly. That happens, for example, on every shift of a
+    triple with b^2 = 3c, such as (3, 3, d), as the shift keeps b^2 - 3c = 0.
+    """
+    s = a.bit_length() - 64
+    ha, hv = a >> s, v >> (2 * s)
+    if ha * ha > hv:
+        return True
+    if (ha + 1) * (ha + 1) <= hv:
+        return False
+    return a * a > v
+
+
 @dataclass(frozen=True)
 class CoeffTriple:
-    """Admissible coefficient triple; constructing one validates it."""
+    """Admissible coefficient triple; constructing one validates it.
+
+    Once |b| is wider than 64 bits, condition (i) is read off the top bits
+    of b^2 and 3c (_square_exceeds), so a wide triple pays for no full
+    square unless those bits tie.
+    """
 
     b: int
     c: int
@@ -78,7 +108,8 @@ class CoeffTriple:
 
     def __post_init__(self) -> None:
         b, c, d = self.b, self.c, self.d
-        if b * b - 3 * c > 0:
+        if (b * b - 3 * c > 0 if -(1 << 64) < b < (1 << 64)
+                else _square_exceeds(abs(b), 3 * c)):
             raise ConditionViolation("i", b, c, d)
         if d >= 0:
             raise ConditionViolation("ii", b, c, d)
@@ -186,12 +217,18 @@ class OrbitState:
 
 
 def _shift(b, c, d, x, k):
-    """8^k * f((y + x) / 2^k): the triple after k steps whose bits are x."""
-    bk = b << k
+    """8^k * f((y + x) / 2^k): the triple after k steps whose bits are x.
+
+    One square, x * x, and two products, b * x and the last one by x:
+    b' = 3x + b 2^k, c' = 3x^2 + 2bx 2^k + c 4^k and
+    d' = (x^2 + bx 2^k + c 4^k) x + d 8^k.
+    """
+    x2 = x * x
+    bx = (b * x) << k
     ck = c << (2 * k)
-    return (3 * x + bk,
-            (3 * x + 2 * bk) * x + ck,
-            ((x + bk) * x + ck) * x + (d << (3 * k)))
+    return (3 * x + (b << k),
+            3 * x2 + 2 * bx + ck,
+            (x2 + bx + ck) * x + (d << (3 * k)))
 
 
 def shifted(t: CoeffTriple, m: int, n: int) -> CoeffTriple:

@@ -34,6 +34,19 @@ def step_loop(t, n: int):
     return m, t
 
 
+def horner_shift(b, c, d, x, k):
+    """Reference for orbit._shift: 8^k f((y + x) / 2^k) in Horner form.
+
+    Three products by x, with b and c shifted first: the triple after k
+    steps whose bits are x.
+    """
+    bk = b << k
+    ck = c << (2 * k)
+    return (3 * x + bk,
+            (3 * x + 2 * bk) * x + ck,
+            ((x + bk) * x + ck) * x + (d << (3 * k)))
+
+
 def bisect_prefix(t, n: int) -> int:
     """Reference for jump(): floor(2^n * alpha) by n dyadic bisections.
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import stat
@@ -442,7 +443,8 @@ class TestGenerate:
             def map(self, fn, jobs, chunksize=1):
                 chunks.append(chunksize)
                 return map(fn, jobs)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         family = ["generate", "--seed-set", "0,40", "--per-seed-bits", "64"]
         serial, wide = tmp_path / "serial.raw", tmp_path / "wide.raw"
@@ -883,6 +885,17 @@ class TestStats:
         assert len(payload["reports"]) == 9
 
 
+def run_fresh_python(script: str, *args: str) -> str:
+    """stdout of script run in a fresh interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
+
+
 def test_generate_and_verify_load_no_scipy(tmp_path):
     # in a fresh interpreter: scipy is imported only by a statistical test
     script = (
@@ -892,10 +905,12 @@ def test_generate_and_verify_load_no_scipy(tmp_path):
         "assert main(['generate', *src, '--out', sys.argv[1]]) == 0\n"
         "assert main(['verify', *src]) == 0\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "b.raw")],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.splitlines()[-1] == "[]"
+    out = run_fresh_python(script, str(tmp_path / "b.raw"))
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the pool, and multiprocessing with it, is imported only for --jobs > 1
+    out = run_fresh_python("import sys, cubicorbit.cli\n"
+                           "print('concurrent.futures' in sys.modules)\n")
+    assert out.splitlines()[-1] == "False"

@@ -2,7 +2,8 @@
 
 step_loop and bisect_prefix (conftest.py) are the references: one walks
 the orbit a step at a time, the other bisects the original cubic. Neither
-shares code with jump().
+shares code with jump(). horner_shift is the reference for the shift that
+certifies each step.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from cubicorbit import (ConditionViolation, OrbitState, build_seed_set,
 from cubicorbit import orbit
 from cubicorbit.cli import main
 from cubicorbit.orbit import _int_from_text
-from conftest import bisect_prefix, random_triple, step_loop
+from conftest import bisect_prefix, horner_shift, random_triple, step_loop
 
 LENGTHS = (0, 1, 7, 8, 9, 31, 32, 33, 64, 65)
 
@@ -117,6 +118,34 @@ class TestJump:
             validate_triple(0, 1 << 100_000, 1)
         assert "<100001-bit integer>" in str(exc.value)
         assert len(str(exc.value)) < 200
+
+
+class TestShift:
+    def test_matches_the_horner_form(self):
+        rng = random.Random(0x1F)
+        for k in (0, 1, 2, 7, 64, 65, 500, 4000, 5000):
+            for _ in range(6):
+                b, c, d = (rng.getrandbits(k + e) * rng.choice((-1, 1))
+                           for e in (2, k + 4, 2 * k + 4))
+                for x in (0, 1, (1 << k) - 1, rng.getrandbits(k) if k else 0):
+                    for sb in (b, -b):
+                        assert orbit._shift(sb, c, d, x, k) == \
+                            horner_shift(sb, c, d, x, k), (k, x)
+
+    def test_correction_step(self):
+        # k = 0, x = +-1: the correction loop's move to the next interval
+        rng = random.Random(0x20)
+        for bits in (3, 100, 5000):
+            b, c, d = (rng.getrandbits(bits) * rng.choice((-1, 1))
+                       for _ in range(3))
+            for e in (1, -1):
+                assert orbit._shift(b, c, d, e, 0) == horner_shift(b, c, d, e, 0)
+
+    def test_certificate_on_the_resumed_triple(self, resumed):
+        t = resumed.as_tuple()
+        for n in (1, 64, 1000, 5000):
+            m = jump(resumed, n)[0]
+            assert shifted(resumed, m, n).as_tuple() == horner_shift(*t, m, n)
 
 
 class TestStateText:

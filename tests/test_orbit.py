@@ -39,6 +39,67 @@ class TestValidate:
         assert exc.value.condition == "i"
 
 
+def fails_condition_i(b: int, c: int) -> bool:
+    """Whether the triple (b, c, -1) is rejected for condition (i)."""
+    try:
+        validate_triple(b, c, -1)
+    except ConditionViolation as exc:
+        return exc.condition == "i"
+    return False
+
+
+class TestConditionI:
+    """(i) is read off the top bits of a wide b; b * b > 3c is the reference."""
+
+    @pytest.mark.parametrize("bits", [60, 64, 65, 70, 1000, 100_000])
+    def test_matches_the_full_square(self, bits):
+        rng = random.Random(bits)
+        for _ in range(20 if bits < 100_000 else 4):
+            a = rng.getrandbits(bits) | (1 << (bits - 1))
+            sq = a * a
+            # 3c far from b^2 (one of the top-bit tests decides), near it
+            # (the top bits tie), and at b^2 - 3c from -3 to 3
+            offsets = [rng.getrandbits(2 * bits - 8) * rng.choice((-1, 1)),
+                       rng.getrandbits(bits) * rng.choice((-1, 1)),
+                       *range(-3, 4)]
+            for b in (a, -a):
+                for off in offsets:
+                    c = (sq + off) // 3
+                    assert fails_condition_i(b, c) == (b * b > 3 * c), (bits, off)
+
+    def test_nonpositive_3c(self):
+        for b in (1 << 64, -(1 << 64), 3 << 1000, -(1 << 99_999) - 7):
+            for c in (0, -1, -(1 << 5000), -(b * b)):
+                assert fails_condition_i(b, c)
+
+    @pytest.mark.parametrize("t", [1, 31, 32, 33, 1000, 100_000])
+    def test_square_equal_to_3c_holds(self, t):
+        # b = 3 * 2^t and c = 3 * 4^t, as on every shift of (3, 3, d)
+        b, c = 3 << t, 3 << (2 * t)
+        for sign in (1, -1):
+            assert not fails_condition_i(sign * b, c)
+            assert not fails_condition_i(sign * b, c + 1)
+            assert fails_condition_i(sign * b, c - 1)
+
+    @pytest.mark.parametrize("b", [(1 << 64) - 1, 1 << 63, 1 << 64,
+                                   (1 << 65) - 1, 2**64 + 1])
+    def test_64_and_65_bit_b(self, b):
+        sq = b * b
+        for c in range(sq // 3 - 2, sq // 3 + 3):
+            for sb in (b, -b):
+                assert fails_condition_i(sb, c) == (sq > 3 * c), (sb, c)
+
+    def test_wide_triple_one_above_the_bound_is_rejected(self):
+        b = (1 << 100_000) + 1     # b^2 = 1 (mod 3), so b^2 - 3c = 1
+        c = (b * b - 1) // 3
+        assert b * b - 3 * c == 1
+        for sb in (b, -b):
+            with pytest.raises(ConditionViolation) as exc:
+                validate_triple(sb, c, -1)
+            assert exc.value.condition == "i"
+        assert validate_triple(-b, c + 1, -1).b == -b
+
+
 class TestBranch:
     def test_branch_agrees_with_root_position(self):
         # the first expansion bit is 1 iff the half value is negative

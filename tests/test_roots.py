@@ -1,3 +1,11 @@
+"""orbit's certificate and root oracle.
+
+shifted() must accept m exactly when f(m / 2^k) < 0 < f((m + 1) / 2^k),
+checked against Fraction arithmetic on the cubic; isolate_root_bits()
+and refine_to_resolution() must return that m. The roots module these
+tests once covered is gone: the certificate and the oracle are in orbit.
+"""
+
 import random
 from fractions import Fraction
 
