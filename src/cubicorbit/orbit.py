@@ -31,10 +31,10 @@ shifted(t, m, n), certifies all n bits at once: the one certificate
 check. jump() finds m by integer Newton steps with precision doubling,
 certifying every step that way, at one square, two products and one
 division per doubling against O(n^2) for n single steps. Condition (i)
-on a wide triple is read off the top 64 bits of b (_square_exceeds), so
-the certificate takes no full square of b. step() is the one-bit
-reference the tests compare jump() with; seeds.merger_audit confirms
-collisions with it and walks chains back with inverse_step().
+is read off the top 64 bits of b (_square_exceeds), so the certificate
+takes no full square of a wide b. step() is the one-bit reference the
+tests compare jump() with; seeds.merger_audit confirms collisions with
+it and walks chains back with inverse_step().
 
 The root oracle, isolate_root_bits() and refine_to_resolution(), returns
 that m: alpha lies in [m / 2^k, (m+1) / 2^k]. It re-checks m with
@@ -71,20 +71,21 @@ class ConditionViolation(ValueError):
 
 
 def _square_exceeds(a: int, v: int) -> bool:
-    """a * a > v for a >= 2^64, decided from the top 64 bits of a if they can.
+    """a * a > v for a >= 0, decided from the top 64 bits of a if they can.
 
-    With s = bitlen(a) - 64 >= 1, ha = a >> s and hv = v >> 2s (a floor,
-    also for v < 0):
+    With s = max(bitlen(a) - 64, 0), ha = a >> s and hv = v >> 2s (a
+    floor, also for v < 0):
 
         ha * 2^s <= a < (ha + 1) * 2^s,   hv * 4^s <= v < (hv + 1) * 4^s.
 
     If ha^2 > hv, that is ha^2 >= hv + 1, then a^2 >= ha^2 * 4^s >=
     (hv + 1) * 4^s > v. If (ha + 1)^2 <= hv, then a^2 < (ha + 1)^2 * 4^s
     <= hv * 4^s <= v. Otherwise ha^2 <= hv < (ha + 1)^2 and a * a is
-    computed exactly. That happens, for example, on every shift of a
-    triple with b^2 = 3c, such as (3, 3, d), as the shift keeps b^2 - 3c = 0.
+    computed exactly. At s = 0 the first test is a * a > v itself. On a
+    wide a the tie happens, for example, on every shift of a triple with
+    b^2 = 3c, such as (3, 3, d), as the shift keeps b^2 - 3c = 0.
     """
-    s = a.bit_length() - 64
+    s = max(a.bit_length() - 64, 0)
     ha, hv = a >> s, v >> (2 * s)
     if ha * ha > hv:
         return True
@@ -97,9 +98,9 @@ def _square_exceeds(a: int, v: int) -> bool:
 class CoeffTriple:
     """Admissible coefficient triple; constructing one validates it.
 
-    Once |b| is wider than 64 bits, condition (i) is read off the top bits
-    of b^2 and 3c (_square_exceeds), so a wide triple pays for no full
-    square unless those bits tie.
+    Condition (i) is read off the top bits of b^2 and 3c
+    (_square_exceeds), so a wide triple pays for no full square unless
+    those bits tie.
     """
 
     b: int
@@ -108,8 +109,7 @@ class CoeffTriple:
 
     def __post_init__(self) -> None:
         b, c, d = self.b, self.c, self.d
-        if (b * b - 3 * c > 0 if -(1 << 64) < b < (1 << 64)
-                else _square_exceeds(abs(b), 3 * c)):
+        if _square_exceeds(abs(b), 3 * c):
             raise ConditionViolation("i", b, c, d)
         if d >= 0:
             raise ConditionViolation("ii", b, c, d)

@@ -49,9 +49,10 @@ def fails_condition_i(b: int, c: int) -> bool:
 
 
 class TestConditionI:
-    """(i) is read off the top bits of a wide b; b * b > 3c is the reference."""
+    """(i) is read off the top 64 bits of b; b * b > 3c is the reference."""
 
-    @pytest.mark.parametrize("bits", [60, 64, 65, 70, 1000, 100_000])
+    @pytest.mark.parametrize("bits", [1, 2, 8, 33, 60, 64, 65, 70, 1000,
+                                      100_000])
     def test_matches_the_full_square(self, bits):
         rng = random.Random(bits)
         for _ in range(20 if bits < 100_000 else 4):
@@ -59,7 +60,8 @@ class TestConditionI:
             sq = a * a
             # 3c far from b^2 (one of the top-bit tests decides), near it
             # (the top bits tie), and at b^2 - 3c from -3 to 3
-            offsets = [rng.getrandbits(2 * bits - 8) * rng.choice((-1, 1)),
+            sign = rng.choice((-1, 1))
+            offsets = [rng.getrandbits(max(2 * bits - 8, 1)) * sign,
                        rng.getrandbits(bits) * rng.choice((-1, 1)),
                        *range(-3, 4)]
             for b in (a, -a):
@@ -72,7 +74,7 @@ class TestConditionI:
             for c in (0, -1, -(1 << 5000), -(b * b)):
                 assert fails_condition_i(b, c)
 
-    @pytest.mark.parametrize("t", [1, 31, 32, 33, 1000, 100_000])
+    @pytest.mark.parametrize("t", [0, 1, 31, 32, 33, 1000, 100_000])
     def test_square_equal_to_3c_holds(self, t):
         # b = 3 * 2^t and c = 3 * 4^t, as on every shift of (3, 3, d)
         b, c = 3 << t, 3 << (2 * t)
