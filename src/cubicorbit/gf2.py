@@ -3,6 +3,9 @@
 A vector in F_2^32 is a plain Python int in [0, 2**32); bit position
 31 (the most significant bit) is component 1. A 32x32 matrix is held
 row-wise, row 1 first, each row an int under the same convention.
+
+This module owns that layout: `_transpose` is its one transpose and
+`Gf2Matrix32.apply` its one product, on every word of a uint32 array.
 """
 
 from __future__ import annotations
@@ -10,12 +13,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
+from .bitstream import as_words32
+
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
 
 
-def parity(x: int) -> int:
-    return x.bit_count() & 1
+def _transpose(words: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The 32 words (MSB first) of a 32x32 bit matrix read down its columns."""
+    words = as_words32(words).astype(">u4")
+    bits = np.unpackbits(words.view(np.uint8)).reshape(32, 32)
+    # bits[i, j] is bit j of word i, MSB first; read bits.T row by row
+    return np.packbits(bits.T).view(">u4").astype(np.uint32)
 
 
 @dataclass(frozen=True)
@@ -35,23 +46,29 @@ class Gf2Matrix32:
         """Row by 1-based index (row 1 produces the result's MSB)."""
         return self.rows[i - 1]
 
-    def mul(self, v: int) -> int:
-        """Matrix-vector product over GF(2)."""
-        acc = 0
-        for r in self.rows:
-            acc = (acc << 1) | parity(r & v)
+    def apply(self, words: np.ndarray) -> np.ndarray:
+        """M y for every word y of a uint32 array, by byte tables.
+
+        M y is linear in y, so it is the XOR of M applied to each of y's four
+        bytes in place: table k maps a byte value v to M (v << 8k). The tables
+        are built from the matrix's columns, the images of the single-bit
+        words, and the bytes are read little-endian whatever the host order.
+        """
+        cols = _transpose(self.rows)[::-1]  # M (1 << j) at index j
+        bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                             bitorder="little").astype(bool)  # bits[v, b]: bit b of v
+        tables = np.bitwise_xor.reduce(
+            np.where(bits, cols.reshape(4, 1, 8), np.uint32(0)), axis=2)
+        data = np.ascontiguousarray(words, dtype="<u4").view(np.uint8).reshape(-1, 4)
+        acc = np.take(tables[0], data[:, 0])
+        for k in (1, 2, 3):
+            acc ^= np.take(tables[k], data[:, k])
         return acc
 
     @classmethod
     def from_columns(cls, columns: Sequence[int]) -> "Gf2Matrix32":
         """Matrix from its 32 columns, column 1 first, as 32-bit ints."""
-        rows = []
-        for i in range(WORD_BITS):
-            r = 0
-            for col in columns:
-                r = (r << 1) | ((col >> (WORD_BITS - 1 - i)) & 1)
-            rows.append(r)
-        return cls(tuple(rows))
+        return cls(tuple(_transpose(columns).tolist()))
 
     @classmethod
     def from_function(cls, fn: Callable[[int], int]) -> "Gf2Matrix32":

@@ -29,10 +29,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bitstream import as_words32
-from .gf2 import Gf2Matrix32, solve_linear_system
+from .gf2 import WORD_MASK, Gf2Matrix32, solve_linear_system
 
 N = 624
-MASK32 = 0xFFFFFFFF
 DEFAULT_SEED = 5489
 LAG = 227  # N - M with M = 397, the tempered-output coincidence lag
 
@@ -57,7 +56,7 @@ def temper(y):
     y = y ^ ((y << 7) & 0x9D2C5680)
     y = y ^ ((y << 15) & 0xEFC60000)
     y = y ^ (y >> 18)
-    return y & MASK32
+    return y & WORD_MASK
 
 
 def untemper(y: int) -> int:
@@ -69,7 +68,7 @@ def untemper(y: int) -> int:
     y = x
     for _ in range(3):
         x = y ^ (x >> 11)
-    return x & MASK32
+    return x & WORD_MASK
 
 
 def _twist(x: int) -> int:
@@ -98,30 +97,6 @@ def _as_words(outputs: Sequence[int] | np.ndarray) -> np.ndarray:
     return arr
 
 
-def _matvec_bulk(m: Gf2Matrix32, words: np.ndarray) -> np.ndarray:
-    """Apply a bit matrix to every word of a uint32 array, by byte tables.
-
-    M y is linear in y, so it is the XOR of M applied to each of y's four
-    bytes in place: table k maps a byte value v to M (v << 8k). The tables
-    are built from the matrix's columns, the images of the single-bit
-    words, and the bytes are read little-endian whatever the host order.
-    """
-    rows = np.array(m.rows, dtype=np.uint32)
-    shifts = np.arange(32, dtype=np.uint32)
-    # column j, M (1 << j), has bit 31 - i set where row i has bit j set
-    cols = np.bitwise_or.reduce(((rows >> shifts[:, None]) & 1) << shifts[::-1],
-                                axis=1)
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                         bitorder="little").astype(bool)  # bits[v, b]: bit b of v
-    tables = np.bitwise_xor.reduce(
-        np.where(bits, cols.reshape(4, 1, 8), np.uint32(0)), axis=2)
-    data = np.ascontiguousarray(words, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    acc = np.take(tables[0], data[:, 0])
-    for k in (1, 2, 3):
-        acc ^= np.take(tables[k], data[:, k])
-    return acc
-
-
 @dataclass(frozen=True)
 class RecurrenceCheck:
     ok: bool
@@ -134,8 +109,8 @@ def verify_recurrence(outputs: Sequence[int] | np.ndarray,
     """Check y_n = y_{n-227} ^ A y_{n-623} ^ B y_{n-624} for all n >= 624."""
     ys = _as_words(outputs)
     L = ys.size
-    predicted = ys[N - LAG:L - LAG] ^ _matvec_bulk(a, ys[1:L - N + 1]) \
-        ^ _matvec_bulk(b, ys[:L - N])
+    predicted = ys[N - LAG:L - LAG] ^ a.apply(ys[1:L - N + 1]) \
+        ^ b.apply(ys[:L - N])
     mism = np.nonzero(predicted != ys[N:])[0]
     if mism.size:
         return RecurrenceCheck(False, L - N, int(mism[0]) + N)
@@ -193,7 +168,7 @@ def scan_conditions_ab(outputs: Sequence[int] | np.ndarray,
     L = ys.size
     lag623 = ys[1:L - N + 1]
     lag624 = ys[:L - N]
-    top_a = _matvec_bulk(a, lag623) >> 24  # rows 1-8: the top byte
+    top_a = a.apply(lag623) >> 24  # rows 1-8: the top byte
     row2_b = np.bitwise_count(lag624 & np.uint32(b.row(2))) & 1
     ns = np.nonzero((top_a == 0) & (row2_b == 0))[0] + N
     return [LagPair(int(n),

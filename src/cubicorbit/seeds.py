@@ -186,6 +186,13 @@ def merger_audit(s: SeedSet, horizon: int) -> MergerAudit:
     hit, confirmed with step, is what a breadth-first walk meets first;
     states_checked counts the states within the horizon that walk
     visits, len(s) * (horizon + 1) on a pass, all covered by the proof.
+
+    It passes at every horizon on a build_seed_set family: a step sends
+    (b, c) to (2b, 4c) or (2b + 3, 4b + 4c + 3), both multiplying b^2 - 3c
+    by 4, so a merger, which brings (b, c) back after k >= 1 steps, needs
+    b^2 = 3c: (b, c) = (3t, 3t^2) with t -> 2t or 2t + 1 per step, and
+    t = 2^k t + s, 0 <= s < 2^k, leaves t = 0 (c = 0) or t = -1 (b + c = 0),
+    which build_seed_set refuses. Collisions need hand-built SeedSets.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")

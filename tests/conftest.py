@@ -34,6 +34,21 @@ def step_loop(t, n: int):
     return m, t
 
 
+def parity(x: int) -> int:
+    return x.bit_count() & 1
+
+
+def gf2_mul(m, v: int) -> int:
+    """Reference for Gf2Matrix32.apply: M v over GF(2), one row at a time.
+
+    Row 1 of m gives the MSB of the product, as the parity of row & v.
+    """
+    acc = 0
+    for r in m.rows:
+        acc = (acc << 1) | parity(r & v)
+    return acc
+
+
 def horner_shift(b, c, d, x, k):
     """Reference for orbit._shift: 8^k f((y + x) / 2^k) in Horner form.
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from cubicorbit import (BitStream, MT19937, ConditionViolation, OrbitState,
-                        OutputFormat, generate_bits, jump, validate_triple)
+                        OutputFormat, SeedSet, generate_bits, jump, step,
+                        validate_triple)
 from cubicorbit import cli, orbit
 from cubicorbit.bitstream import (read_bits, read_words_le, write_bits,
                                   write_words_le)
@@ -45,6 +46,35 @@ class TestGenerate:
             assert out == ""
             assert err == "error: generate: --bits must be at least 1\n"
         assert not out_file.exists() and not ck.exists()
+
+    def test_single_stream_needs_the_whole_triple(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "--b", "0", "--bits", "8",
+                                 "--format", "ascii")
+        assert (code, out) == (2, "")
+        assert err == ("error: generate: --b, --c and --d are required unless "
+                       "--resume or --seed-set is given\n")
+
+    @pytest.mark.parametrize("seed_set", ["0", "0,x", "0,1,2"])
+    def test_seed_set_wants_two_integers(self, tmp_path, capsys, seed_set):
+        out_file = tmp_path / "f.raw"
+        code, out, err = run_cli(capsys, "generate", "--seed-set", seed_set,
+                                 "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == ("error: generate: --seed-set wants 'B,C', "
+                       f"got {seed_set!r}\n")
+        assert not out_file.exists()
+
+    def test_resume_rejects_a_negative_step(self, tmp_path, capsys):
+        ck = tmp_path / "ck.txt"
+        text = OrbitState(validate_triple(0, 1, -1), 0).to_text()
+        ck.write_text(text.replace("step 0", "step -1"))
+        out_file = tmp_path / "bits.txt"
+        code, out, err = run_cli(capsys, "generate", "--resume", str(ck),
+                                 "--bits", "8", "--format", "ascii",
+                                 "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == "error: step index must be nonnegative\n"
+        assert not out_file.exists()
 
     def test_invalid_triple_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "generate", "--b", "2", "--c", "1",
@@ -561,6 +591,25 @@ class TestSeeds:
         assert code == 2
         assert "exceeds" in err
 
+    def test_family_without_d_values_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "seeds", "--b", "-2", "--c", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: b + c = 0 < 1 leaves no d values\n"
+
+    def test_merger_exits_1_with_the_collision(self, capsys, monkeypatch):
+        # build_seed_set never makes such a family (see merger_audit), so
+        # the collision path is reached with a hand-built one
+        t = validate_triple(0, 1, -1)
+        monkeypatch.setattr(cli, "build_seed_set",
+                            lambda b, c: SeedSet(0, 1, (t, step(t)[0])))
+        code, out, _ = run_cli(capsys, "seeds", "--b", "0", "--c", "1",
+                               "--audit-mergers", "5")
+        assert code == 1
+        assert json.loads(out)["merger_audit"] == {
+            "horizon": 5, "passed": False, "states_checked": 2,
+            "collision": {"member_a": 1, "step_a": 0,
+                          "member_b": 0, "step_b": 1}}
+
     def test_gaps_and_audit(self, capsys):
         code, out, _ = run_cli(capsys, "seeds", "--b", "0", "--c", "101",
                                "--gaps", "--precision", "64",
@@ -685,6 +734,29 @@ class TestMt:
         code, out, _ = run_cli(capsys, "mt", "verify", "--count", "2000")
         assert code == 0
         assert "pass" in out
+
+    @staticmethod
+    def _flip_last_word(monkeypatch):
+        class LastWordFlipped(MT19937):
+            def generate(self, count):
+                words = super().generate(count)
+                words[-1] ^= 1
+                return words
+        monkeypatch.setattr(cli, "MT19937", LastWordFlipped)
+
+    def test_verify_fails_at_a_flipped_word(self, capsys, monkeypatch):
+        self._flip_last_word(monkeypatch)
+        code, out, _ = run_cli(capsys, "mt", "verify", "--count", "10000")
+        assert code == 1
+        assert out == "fail: first violation at n=9999\n"
+
+    def test_recover_fails_on_held_out_data(self, capsys, monkeypatch):
+        # the matrices are solved from the first ~700 words; the flipped
+        # last word fails the held-out check
+        self._flip_last_word(monkeypatch)
+        code, out, _ = run_cli(capsys, "mt", "recover", "--count", "10000")
+        assert code == 1
+        assert out == "fail: recovered matrices differ from the packaged data\n"
 
     def test_recover_matches_packaged_data(self, capsys):
         code, out, _ = run_cli(capsys, "mt", "recover", "--count", "1500")

@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from cubicorbit.gf2 import Gf2Matrix32, parity, solve_linear_system
+from cubicorbit.gf2 import Gf2Matrix32, solve_linear_system
+from conftest import gf2_mul, parity
 
 
 def random_matrix(rng: random.Random) -> Gf2Matrix32:
@@ -19,28 +21,31 @@ class TestMatrix:
     def test_identity_action(self):
         ident = Gf2Matrix32(tuple(1 << (31 - i) for i in range(32)))
         rng = random.Random(1)
-        for _ in range(50):
-            v = rng.getrandbits(32)
-            assert ident.mul(v) == v
+        vs = [rng.getrandbits(32) for _ in range(50)]
+        for v in vs:
+            assert gf2_mul(ident, v) == v
+        assert ident.apply(np.array(vs, dtype=np.uint32)).tolist() == vs
 
     def test_mul_is_linear(self):
         rng = random.Random(2)
         m = random_matrix(rng)
-        for _ in range(50):
-            u, v = rng.getrandbits(32), rng.getrandbits(32)
-            assert m.mul(u ^ v) == m.mul(u) ^ m.mul(v)
+        us = np.array([rng.getrandbits(32) for _ in range(50)], dtype=np.uint32)
+        vs = np.array([rng.getrandbits(32) for _ in range(50)], dtype=np.uint32)
+        for u, v in zip(us.tolist(), vs.tolist()):
+            assert gf2_mul(m, u ^ v) == gf2_mul(m, u) ^ gf2_mul(m, v)
+        assert (m.apply(us ^ vs) == m.apply(us) ^ m.apply(vs)).all()
 
     def test_row_indexing_is_one_based(self):
         m = Gf2Matrix32((0xDEADBEEF,) + (0,) * 31)
         assert m.row(1) == 0xDEADBEEF
         assert m.row(2) == 0
         # row 1 of the product is the MSB of the output
-        assert m.mul(0xDEADBEEF) >> 31 == parity(0xDEADBEEF & 0xDEADBEEF)
+        assert gf2_mul(m, 0xDEADBEEF) >> 31 == parity(0xDEADBEEF & 0xDEADBEEF)
 
     def test_from_function_matches_direct_mul(self):
         rng = random.Random(4)
         m = random_matrix(rng)
-        rebuilt = Gf2Matrix32.from_function(m.mul)
+        rebuilt = Gf2Matrix32.from_function(lambda v: gf2_mul(m, v))
         assert rebuilt == m
 
     def test_from_columns_transposes(self):
@@ -52,6 +57,12 @@ class TestMatrix:
                 assert (t.row(i) >> (32 - j)) & 1 == (m.row(j) >> (32 - i)) & 1
         assert Gf2Matrix32.from_columns(t.rows) == m
 
+    def test_from_columns_checks_its_columns(self):
+        with pytest.raises(ValueError):
+            Gf2Matrix32.from_columns([1 << 32] + [0] * 31)
+        with pytest.raises(ValueError):
+            Gf2Matrix32.from_columns([0] * 31)
+
 
 class TestSolver:
     def test_recovers_random_matrix_pair(self):
@@ -61,7 +72,7 @@ class TestSolver:
         def equations():
             while True:
                 v = rng.getrandbits(32)
-                yield v, m.mul(v)
+                yield v, gf2_mul(m, v)
 
         sols = solve_linear_system(equations(), 32, 32)
         assert sols is not None

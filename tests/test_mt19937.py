@@ -8,8 +8,8 @@ from cubicorbit import (MT19937, generate_bits, load_recurrence_matrices,
                         recover_matrices, scan_conditions_ab, temper,
                         untemper, validate_triple, verify_recurrence)
 from cubicorbit.gf2 import Gf2Matrix32
-from cubicorbit.mt19937 import (DEFAULT_SEED, RankDeficient, _matvec_bulk,
-                                lag_pairs_csv)
+from cubicorbit.mt19937 import DEFAULT_SEED, RankDeficient, lag_pairs_csv
+from conftest import gf2_mul
 
 # first outputs of the reference implementation for the default seed
 KNOWN_FIRST = [3499211612, 581869302, 3890346734, 3586334585, 545404204]
@@ -166,7 +166,7 @@ class TestMatrices:
 
 
 class TestMatvecBulk:
-    """The byte-table product equals Gf2Matrix32.mul word by word."""
+    """The byte-table product Gf2Matrix32.apply equals gf2_mul word by word."""
 
     @staticmethod
     def matrices():
@@ -180,9 +180,9 @@ class TestMatvecBulk:
 
     @staticmethod
     def assert_products(m, words):
-        got = _matvec_bulk(m, words)
+        got = m.apply(words)
         assert got.dtype == np.uint32
-        assert got.tolist() == [m.mul(int(y)) for y in words]
+        assert got.tolist() == [gf2_mul(m, int(y)) for y in words]
 
     def test_edge_and_single_bit_words(self):
         words = np.array([0, 0xFFFFFFFF] + [1 << j for j in range(32)],
@@ -221,6 +221,12 @@ class TestRecurrence:
         check = verify_recurrence(words, a, b)
         assert not check.ok
         assert check.first_violation is not None
+
+    def test_needs_one_dimensional_outputs(self):
+        a, b = load_recurrence_matrices()
+        words = MT19937().generate(2000).reshape(2, 1000)
+        with pytest.raises(ValueError, match="outputs must be one-dimensional"):
+            verify_recurrence(words, a, b)
 
     def test_needs_625_outputs(self):
         a, b = load_recurrence_matrices()

@@ -360,6 +360,15 @@ class TestBitStream:
         assert raw[0] == 0xAE
         assert BitStream.from_bytes(raw, n_bits=9) == s
 
+    def test_from_bytes_rejects_more_bits_than_the_data(self):
+        with pytest.raises(ValueError, match="n_bits exceeds available data"):
+            BitStream.from_bytes(b"\x00", 9)
+
+    def test_repr_shows_at_most_64_bits(self):
+        assert repr(BitStream.from01("10101110")) == "BitStream(8 bits: 10101110)"
+        long = BitStream.from01("1" * 50 + "0" * 50)
+        assert repr(long) == f"BitStream(100 bits: {'1' * 50}{'0' * 11}...)"
+
     def test_slicing_and_concat(self):
         s = BitStream.from01("11110000")
         assert (s[:4] + s[4:]) == s

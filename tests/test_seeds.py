@@ -247,6 +247,47 @@ class TestMergerAudit:
         assert got == merger_audit_all_states(fam, 50)
         assert got.passed and got.states_checked == 51
 
+    @staticmethod
+    def _bc_images(b, c):
+        """(b, c) after one step, for either branch d may pick."""
+        return (2 * b, 4 * c), (2 * b + 3, 4 * b + 4 * c + 3)
+
+    def test_step_moves_b_and_c_by_one_of_two_maps(self):
+        rng = random.Random(0xBC)
+        for _ in range(200):
+            t = random_triple(rng, b_bound=12, c_max=100)
+            nxt = step(t)[0]
+            assert (nxt.b, nxt.c) in self._bc_images(t.b, t.c)
+            assert nxt.b ** 2 - 3 * nxt.c == 4 * (t.b ** 2 - 3 * t.c)
+
+    def test_no_family_shape_returns_to_itself(self):
+        # the merger-freeness argument in merger_audit: a merger needs some
+        # (b, c) to come back to itself, and only (3t, 3t^2) with t = 0 or
+        # t = -1 does; build_seed_set refuses both
+        def returns_within(bc, k_max):
+            level = {bc}
+            for _ in range(k_max):
+                level = {img for p in level for img in self._bc_images(*p)}
+                if bc in level:
+                    return True
+            return False
+        shapes = [(b, c) for b in range(-12, 13) for c in range(1, 101)
+                  if b * b <= 3 * c and b + c >= 1]
+        assert len(shapes) == 2077
+        assert not any(returns_within(bc, 8) for bc in shapes)
+        assert returns_within((0, 0), 1) and returns_within((-3, 3), 1)
+        for b, c in [(0, 0), (-3, 3)]:
+            with pytest.raises(InvalidShape):
+                build_seed_set(b, c)
+
+    def test_built_families_pass_at_any_horizon(self):
+        rng = random.Random(0xFA)
+        for _ in range(50):
+            b = rng.randint(-12, 12)
+            c = rng.randint(max((b * b + 2) // 3, 1 - b, 1), 100)
+            audit = merger_audit(build_seed_set(b, c), 10 ** 6)
+            assert audit.passed and audit.collision is None
+
     def test_rejects_zero_horizon(self):
         with pytest.raises(ValueError):
             merger_audit(build_seed_set(0, 2), 0)
@@ -324,6 +365,14 @@ class TestFieldDistinctness:
                 if ks[i] is not None and ks[i] == ks[j]}
             assert rep.all_distinct == (None not in ks
                                         and len(set(ks)) == len(ks))
+
+    def test_squarefree_kernel_edges(self):
+        kernel = seeds._squarefree_kernel
+        assert kernel(18, 10) == 2  # 2 * 3^2
+        assert kernel(-4, 10) == -1
+        assert kernel((101 * 103) ** 2, 10) == 1  # a square past bound^2
+        assert kernel(101 * 103 ** 2, 10) is None
+        assert kernel(0, 10) is None
 
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):

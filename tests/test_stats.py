@@ -536,6 +536,19 @@ class TestReportContract:
         with pytest.raises(InputTooShort):
             run_suite(BitStream.from_bits(np.zeros(512, dtype=np.uint8)))
 
+    @pytest.mark.parametrize("test, n, m, message", [
+        (block_frequency, 200, 1, "block length must be at least 2"),
+        (block_frequency, 200, 201, "needs at least one 201-bit block"),
+        (serial, 200, 1, "pattern length must be at least 2"),
+        (approximate_entropy, 200, 0, "pattern length must be at least 1"),
+        (approximate_entropy, 31, 3, "with m=3 needs at least 32 bits")],
+        ids=["block-m-1", "block-m-above-n", "serial-m-1", "apen-m-0",
+             "apen-n-too-short"])
+    def test_bad_block_or_pattern_length_raises(self, test, n, m, message):
+        error = InputTooShort if "needs" in message else ValueError
+        with pytest.raises(error, match=message):
+            test(BitStream.from01(PI_100 * 2)[:n], m)
+
 
 class TestSpecialFunctionAccuracy:
     """scipy's double precision against high-precision tabulated points."""
