@@ -22,6 +22,7 @@ without this linear structure does not show.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -76,9 +77,11 @@ def _twist(x: int) -> int:
     return (x >> 1) ^ (0x9908B0DF if x & 1 else 0)
 
 
+@functools.cache
 def load_recurrence_matrices() -> Tuple[Gf2Matrix32, Gf2Matrix32]:
     """The recurrence matrices (A, B): the twist of the low 31 bits and of
-    the top bit of a word, each conjugated by the tempering map."""
+    the top bit of a word, each conjugated by the tempering map. Built once
+    per process; both are frozen."""
     return (
         Gf2Matrix32.from_function(
             lambda y: temper(_twist(untemper(y) & 0x7FFFFFFF))),

@@ -30,7 +30,9 @@ holds on every shift, as b'^2 - 3c' = 4^n (b^2 - 3c), so building it,
 shifted(t, m, n), certifies all n bits at once: the one certificate
 check. jump() finds m by integer Newton steps with precision doubling,
 certifying every step that way, at one square, two products and one
-division per doubling against O(n^2) for n single steps. Condition (i)
+exact quotient per doubling against O(n^2) for n single steps; above
+_NEWTON_BITS the quotient comes from a Newton reciprocal and one
+remainder product (_quotient), not from schoolbook `//`. Condition (i)
 is read off the top 64 bits of b (_square_exceeds), so the certificate
 takes no full square of a wide b. step() is the one-bit reference the
 tests compare jump() with; seeds.merger_audit confirms collisions with
@@ -242,6 +244,64 @@ def shifted(t: CoeffTriple, m: int, n: int) -> CoeffTriple:
 # Each Newton estimate is off by at most one; more means corrupt input.
 _MAX_CORRECTIONS = 2
 
+# Divisor and quotient width above which _quotient divides by Newton's
+# method: `//` is schoolbook, and at about 44000 bits a 2L-by-L division
+# took as long either way on CPython 3.11. A jump of n bits from small
+# coefficients divides by at most about n/2 bits, so below 2^17 bits it
+# stays on `//`.
+_NEWTON_BITS = 1 << 16
+
+
+def _reciprocal(d: int) -> int:
+    """r with 4^L/d - 2 < r <= 4^L/d for d > 0 of L bits (MCA ch. 3).
+
+    At or below _NEWTON_BITS, r = 4^L // d. Above, with h = L//2 + 4,
+    rh = _reciprocal(d >> (L - h)) and r0 = rh * 2^(L-h): truncating d to
+    dh = d >> (L - h) and rh's own error each move r0 by a factor in
+    (1 - 2^(1-h), 1 + 2^(1-h)) on opposite sides, so r0 = X(1 - eps) with
+    X = 4^L/d and |eps| < 2^(1-h). One Newton step with e = 4^L - d*r0 =
+    4^L eps gives r0 + r0 e/4^L = X(1 - eps^2) > X - 1/4, as X <= 2^(L+1)
+    and 2h >= L + 7. It is taken as rh * (e >> (L-4)) >> (h+4), an
+    (h+1)-by-(L/2) product: dropping e's low L - 4 bits costs less than
+    1/8, and the floor less than 1.
+    """
+    L = d.bit_length()
+    if L <= _NEWTON_BITS:
+        return (1 << (2 * L)) // d
+    h = L // 2 + 4
+    rh = _reciprocal(d >> (L - h))
+    e = (1 << (2 * L)) - ((d * rh) << (L - h))
+    return (rh << (L - h)) + ((rh * (e >> (L - 4))) >> (h + 4))
+
+
+def _near_quotient(n: int, d: int) -> int:
+    """q with |q - n // d| <= 1, for n >= d > 0 and d of 17 bits or more.
+
+    With 2^(lq-1) <= n / d < 2^lq read off the bit lengths and p = lq +
+    16, the top p bits nt of n and dt of d give n / d within 2^-14 as
+    nt/dt * 2^(lq-1), and _reciprocal(dt) in place of 4^p / dt moves that
+    by less than 2^-16, so the floor is off by at most one.
+    """
+    L, t = d.bit_length(), n.bit_length()
+    lq = t - L + 1
+    p = lq + 16
+    dt = d >> (L - p) if L >= p else d << (p - L)
+    return ((n >> (t - p)) * _reciprocal(dt)) >> (2 * p + 1 - lq)
+
+
+def _quotient(n: int, d: int) -> int:
+    """n // d for n >= 0 and d > 0, by Newton's method when both d and the
+    quotient are wider than _NEWTON_BITS (two Karatsuba-size products and
+    a reciprocal, against a schoolbook `//`). The remainder product makes
+    it exact whatever the estimate; the estimate only sets the cost. gmpy2
+    already divides in subquadratic time, so mpz takes `//`.
+    """
+    lq = n.bit_length() - d.bit_length() + 1
+    if mpz is not int or min(d.bit_length(), lq) <= _NEWTON_BITS:
+        return n // d
+    q = _near_quotient(n, d)
+    return q + (n - q * d) // d
+
 
 def jump(t: CoeffTriple, n: int) -> Tuple[int, CoeffTriple]:
     """(m, shifted(t, m, n)) for m = floor(2^n * alpha): n steps at once.
@@ -259,10 +319,14 @@ def jump(t: CoeffTriple, n: int) -> Tuple[int, CoeffTriple]:
         # estimate of the next k bits within 1/2 before rounding down;
         # keeping only the top k + 8 bits of c and d adds less than 1/16.
         # On a small triple k is 1 and x, clamped to [0, 2^k) (it is never
-        # negative: -d, c > 0), is one bit off by at most one.
+        # negative: -d, c > 0), is one bit off by at most one. The quotient
+        # is exact, by Newton's method above _NEWTON_BITS; below, `//` is
+        # taken inline, as the call would cost more than the division.
         k = max(1, min(left, c.bit_length() - (abs(b) + 1).bit_length() - 2))
         s = max(0, c.bit_length() - k - 8)
-        x = min(((-d >> s) << k) // (c >> s), (1 << k) - 1)
+        num, den = (-d >> s) << k, c >> s
+        x = min(num // den if k <= _NEWTON_BITS else _quotient(num, den),
+                (1 << k) - 1)
         b1, c1, d1 = _shift(b, c, d, x, k)
         for _ in range(_MAX_CORRECTIONS):
             if d1 >= 0:                    # f(x / 2^k) >= 0: x too large

@@ -756,6 +756,16 @@ class TestMt:
         self._flip_last_word(monkeypatch)
         code, out, _ = run_cli(capsys, "mt", "recover", "--count", "10000")
         assert code == 1
+        assert out == ("fail: recovered matrices match the packaged data but "
+                       "the recurrence fails at n=9999\n")
+
+    def test_recover_fails_when_the_matrices_differ(self, capsys, monkeypatch):
+        # A and B swapped: the matrices differ, whatever the held-out check
+        real = cli.recover_matrices
+        monkeypatch.setattr(cli, "recover_matrices",
+                            lambda words: real(words)[::-1])
+        code, out, _ = run_cli(capsys, "mt", "recover", "--count", "2000")
+        assert code == 1
         assert out == "fail: recovered matrices differ from the packaged data\n"
 
     def test_recover_matches_packaged_data(self, capsys):
@@ -955,6 +965,66 @@ class TestStats:
         payload = json.loads(out)
         assert code == (0 if payload["all_passed"] else 1)
         assert len(payload["reports"]) == 9
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; reusing it keeps no state."""
+
+    @staticmethod
+    def _outcomes(capsys, calls, fresh):
+        done = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help, --version and parse errors
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            done.append((code, captured.out, captured.err))
+        return done
+
+    @pytest.mark.parametrize("calls, last", [
+        ([["generate", "--seed-set", "0,3", "--per-seed-bits", "8",
+           "--drop-prefix-bits", "0", "--format", "ascii"],
+          ["generate", "--b", "0", "--c", "1", "--d", "-1", "--bits", "8",
+           "--format", "ascii"]], "10101110\n"),
+        ([["verify", "--b", "0", "--c", "1", "--d", "-1", "--bits", "x"],
+          ["mt", "verify", "--count", "0"],
+          ["verify", "--b", "0", "--c", "1", "--d", "-1", "--bits", "64"]],
+         "pass: 64 bits of (0,1,-1) match the root expansion\n"),
+        ([["mt", "scan", "--help"], ["mt", "scan", "--count", "2000"]],
+         "n,y_lag,y_n\n"),
+        ([["--version"], ["verify", "--b", "0", "--c", "3", "--d", "-2"]],
+         "pass: 256 bits of (0,3,-2) match the root expansion\n"),
+    ], ids=["seed-set-then-single", "usage-errors-then-valid",
+            "help-then-scan", "version-then-verify"])
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys, calls, last):
+        reused = self._outcomes(capsys, calls, fresh=False)
+        assert reused == self._outcomes(capsys, calls, fresh=True)
+        code, out, _ = reused[-1]
+        assert code == 0 and out.startswith(last)
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return real()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["verify", "--b", "0", "--c", "1", "--d", "-1"],
+                         ["mt", "verify", "--count", "625"],
+                         ["verify", "--b", "0", "--c", "1", "--d", "-1"]):
+                assert main(argv) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
 
 
 def run_fresh_python(script: str, *args: str) -> str:

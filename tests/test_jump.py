@@ -148,6 +148,97 @@ class TestShift:
             assert shifted(resumed, m, n).as_tuple() == horner_shift(*t, m, n)
 
 
+CUTOFF = orbit._NEWTON_BITS
+
+
+def _newton_calls(monkeypatch):
+    """A list that grows by one each time _quotient takes Newton's path."""
+    calls, real = [], orbit._near_quotient
+
+    def counted(n, d):
+        calls.append(d.bit_length())
+        return real(n, d)
+    monkeypatch.setattr(orbit, "_near_quotient", counted)
+    return calls
+
+
+class TestQuotient:
+    """_quotient against `//`, and its Newton pieces against their bounds."""
+
+    def test_matches_floor_division_on_random_inputs(self, monkeypatch):
+        calls = _newton_calls(monkeypatch)
+        rng = random.Random(0x21)
+        for _ in range(40):
+            d = rng.getrandbits(rng.randint(1, 3 * CUTOFF)) | 1
+            n = rng.getrandbits(d.bit_length() + rng.randint(0, 2 * CUTOFF))
+            assert orbit._quotient(n, d) == n // d, (n.bit_length(),
+                                                     d.bit_length())
+        assert len(calls) >= 5
+
+    def test_edges(self, monkeypatch):
+        calls = _newton_calls(monkeypatch)
+        rng = random.Random(0x22)
+        cases = []
+        for bits in (1, 2, 17, CUTOFF - 1, CUTOFF, CUTOFF + 1, 2 * CUTOFF + 9):
+            # a power of two, all ones, and a random divisor
+            for d in (1 << (bits - 1), (1 << bits) - 1,
+                      rng.getrandbits(bits) | (1 << (bits - 1))):
+                cases += [(0, d), (d - 1, d), (d, d), (2 * d - 1, d)]  # q = 0, 1
+                for qbits in (CUTOFF, CUTOFF + 1) if bits > 17 else ():
+                    q = rng.getrandbits(qbits) | (1 << (qbits - 1))
+                    # an exact multiple and its neighbour, and 2^j - 1
+                    cases += [(q * d, d), (q * d - 1, d),
+                              ((1 << (qbits + bits)) - 1, d)]
+        for n, d in cases:
+            assert orbit._quotient(n, d) == n // d, (n.bit_length(),
+                                                     d.bit_length())
+        assert len(calls) >= 20
+
+    def test_reciprocal_bound(self):
+        # 4^L / d - 2 < r <= 4^L / d, i.e. 0 <= 4^L - r d < 2d
+        rng = random.Random(0x23)
+        for bits in (1, 2, 3, 64, CUTOFF, CUTOFF + 1, CUTOFF + 9,
+                     2 * CUTOFF + 7, 2 * CUTOFF + 9, 3 * CUTOFF, 5 * CUTOFF):
+            for d in (1 << (bits - 1), (1 << bits) - 1,
+                      *(rng.getrandbits(bits) | (1 << (bits - 1))
+                        for _ in range(3))):
+                r = orbit._reciprocal(d)
+                assert 0 <= (1 << (2 * bits)) - r * d < 2 * d, (bits, d & 7)
+
+    def test_near_quotient_is_off_by_at_most_one(self):
+        rng = random.Random(0x24)
+        for _ in range(30):
+            d = rng.getrandbits(rng.randint(17, 3 * CUTOFF))
+            d |= 1 << max(16, d.bit_length() - 1)
+            n = rng.getrandbits(d.bit_length() + rng.randint(1, 2 * CUTOFF))
+            n = max(n, d)
+            assert abs(orbit._near_quotient(n, d) - n // d) <= 1
+
+    def test_jump_across_a_lowered_cutoff(self, monkeypatch, resumed):
+        # with the cutoff at 256 bits, the last doublings and the resumed
+        # triple's first one divide by Newton's method, several levels deep
+        monkeypatch.setattr(orbit, "_NEWTON_BITS", 256)
+        calls = _newton_calls(monkeypatch)
+        for t, n in ((validate_triple(0, 1, -1), 3000),
+                     (validate_triple(-5, 9, -3), 1100), (resumed, 1500)):
+            m, after = jump(t, n)
+            assert (m, after) == step_loop(t, n), n
+            assert m == bisect_prefix(t, n), n
+        assert max(calls) > 4 * 256
+
+    def test_jump_across_the_cutoff(self, monkeypatch):
+        # the last two doublings of a 2^18-bit jump, k = 81920 and 98302,
+        # divide above the cutoff; with the cutoff out of reach, all by `//`
+        calls = _newton_calls(monkeypatch)
+        t, n = validate_triple(0, 1, -1), 1 << 18
+        m, after = jump(t, n)
+        assert len(calls) == 2 and min(calls) > CUTOFF
+        assert shifted(t, m, n) == after
+        monkeypatch.setattr(orbit, "_NEWTON_BITS", 1 << 40)
+        assert jump(t, n) == (m, after)
+        assert len(calls) == 2
+
+
 class TestStateText:
     def test_wide_integers_parse_exactly(self):
         # Decimal(int) is exact and exempt from the int/str digit limit

@@ -127,6 +127,12 @@ class TestMatrices:
         a, b = load_recurrence_matrices()
         assert isinstance(a, Gf2Matrix32) and isinstance(b, Gf2Matrix32)
 
+    def test_built_once_per_process(self):
+        # the cached pair is shared, which is safe as both are frozen
+        assert load_recurrence_matrices() is load_recurrence_matrices()
+        with pytest.raises(AttributeError):
+            load_recurrence_matrices()[0].rows = ()
+
     def test_known_rows(self):
         a, b = load_recurrence_matrices()
         assert format(a.row(4), "032b") == "00000000000001000100100000000001"
