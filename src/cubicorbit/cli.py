@@ -57,8 +57,8 @@ def _triple_from_args(args) -> CoeffTriple:
 
 
 def _worker_generate(job) -> BitStream:
-    (b, c, d), n_bits, drop = job
-    return generate_bits(validate_triple(b, c, d), n_bits)[0][drop:]
+    triple, n_bits, drop = job
+    return generate_bits(triple, n_bits)[0][drop:]
 
 
 def _reject_given(args, message: str, keys: Sequence[str]) -> None:
@@ -107,7 +107,8 @@ def cmd_generate(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(n_jobs) if n_jobs > 1 else nullcontext() as pool:
         if args.seed_set:
-            jobs = [(m.as_tuple(), per_seed, drop) for m in fam.members]
+            # members are CoeffTriples already validated by build_seed_set
+            jobs = [(m, per_seed, drop) for m in fam.members]
             # a worker takes a few contiguous members per pickle round trip
             streams = map(_worker_generate, jobs) if pool is None else pool.map(
                 _worker_generate, jobs, chunksize=-(-len(jobs) // (4 * n_jobs)))
@@ -172,12 +173,13 @@ def cmd_seeds(args) -> int:
     }
     failed = False
     if args.gaps:
-        rep = gap_report(fam, precision)
+        rep, one = gap_report(fam, precision), 1 << precision
         payload["gaps"] = {
             "precision": precision,
             "count": len(rep.gaps),
             "max_deviation": float(rep.max_deviation),
-            "entries": [{"d": g.d, "delta": float(g.delta)} for g in rep.gaps],
+            # g / 2^p is correctly rounded, so it equals float(g.delta)
+            "entries": [{"d": g.d, "delta": g.g / one} for g in rep.gaps],
         }
     if args.audit_mergers is not None:
         audit = merger_audit(fam, args.audit_mergers)
@@ -202,8 +204,7 @@ def cmd_seeds(args) -> int:
             "uncertified": rep.uncertified(),
             "equal_kernels": rep.equal_kernels(),
         }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     return EXIT_FAIL if failed else EXIT_OK
 
 
@@ -266,8 +267,7 @@ def cmd_stats(args) -> int:
         raise ValueError("stats: --alpha must be between 0 and 1")
     result = run_suite(read_bits(args.infile, OutputFormat(args.format)),
                        alpha=args.alpha)
-    json.dump(result.to_dict(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(result.to_dict(), indent=2) + "\n")
     return EXIT_OK if result.all_passed else EXIT_FAIL
 
 

@@ -46,19 +46,33 @@ class Gf2Matrix32:
         """Row by 1-based index (row 1 produces the result's MSB)."""
         return self.rows[i - 1]
 
+    def _byte_tables(self) -> np.ndarray:
+        """Four read-only 256-entry tables: table k maps byte v to M (v << 8k).
+
+        They come from the matrix's columns, the images of the single-bit
+        words. The first call builds them and keeps them in the instance
+        dict (a frozen dataclass has no setter), so a matrix applied many
+        times builds them once.
+        """
+        tables = self.__dict__.get("_tables")
+        if tables is None:
+            cols = _transpose(self.rows)[::-1]  # M (1 << j) at index j
+            bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                                 bitorder="little").astype(bool)  # bit b of v
+            tables = np.bitwise_xor.reduce(
+                np.where(bits, cols.reshape(4, 1, 8), np.uint32(0)), axis=2)
+            tables.flags.writeable = False
+            self.__dict__["_tables"] = tables
+        return tables
+
     def apply(self, words: np.ndarray) -> np.ndarray:
         """M y for every word y of a uint32 array, by byte tables.
 
         M y is linear in y, so it is the XOR of M applied to each of y's four
-        bytes in place: table k maps a byte value v to M (v << 8k). The tables
-        are built from the matrix's columns, the images of the single-bit
-        words, and the bytes are read little-endian whatever the host order.
+        bytes in place, read from _byte_tables(). The bytes are read
+        little-endian whatever the host order.
         """
-        cols = _transpose(self.rows)[::-1]  # M (1 << j) at index j
-        bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                             bitorder="little").astype(bool)  # bits[v, b]: bit b of v
-        tables = np.bitwise_xor.reduce(
-            np.where(bits, cols.reshape(4, 1, 8), np.uint32(0)), axis=2)
+        tables = self._byte_tables()
         data = np.ascontiguousarray(words, dtype="<u4").view(np.uint8).reshape(-1, 4)
         acc = np.take(tables[0], data[:, 0])
         for k in (1, 2, 3):

@@ -39,8 +39,9 @@ tests compare jump() with; seeds.merger_audit confirms collisions with
 it and walks chains back with inverse_step().
 
 The root oracle, isolate_root_bits() and refine_to_resolution(), returns
-that m: alpha lies in [m / 2^k, (m+1) / 2^k]. It re-checks m with
-shifted(), whatever found it; no end is ever an exact root.
+that m: alpha lies in [m / 2^k, (m+1) / 2^k]. Both re-check m with
+shifted(), whatever found it; no end is ever an exact root. Only
+isolate_root_bits() also spells m out as 0/1 text.
 """
 
 from __future__ import annotations
@@ -75,19 +76,21 @@ class ConditionViolation(ValueError):
 def _square_exceeds(a: int, v: int) -> bool:
     """a * a > v for a >= 0, decided from the top 64 bits of a if they can.
 
-    With s = max(bitlen(a) - 64, 0), ha = a >> s and hv = v >> 2s (a
-    floor, also for v < 0):
+    An a of 64 bits or fewer takes a * a directly. Otherwise, with s =
+    bitlen(a) - 64, ha = a >> s and hv = v >> 2s (a floor, also for v < 0):
 
         ha * 2^s <= a < (ha + 1) * 2^s,   hv * 4^s <= v < (hv + 1) * 4^s.
 
     If ha^2 > hv, that is ha^2 >= hv + 1, then a^2 >= ha^2 * 4^s >=
     (hv + 1) * 4^s > v. If (ha + 1)^2 <= hv, then a^2 < (ha + 1)^2 * 4^s
     <= hv * 4^s <= v. Otherwise ha^2 <= hv < (ha + 1)^2 and a * a is
-    computed exactly. At s = 0 the first test is a * a > v itself. On a
-    wide a the tie happens, for example, on every shift of a triple with
-    b^2 = 3c, such as (3, 3, d), as the shift keeps b^2 - 3c = 0.
+    computed exactly. On a wide a the tie happens, for example, on every
+    shift of a triple with b^2 = 3c, such as (3, 3, d), as the shift
+    keeps b^2 - 3c = 0.
     """
-    s = max(a.bit_length() - 64, 0)
+    s = a.bit_length() - 64
+    if s <= 0:
+        return a * a > v
     ha, hv = a >> s, v >> (2 * s)
     if ha * ha > hv:
         return True
@@ -322,25 +325,34 @@ def jump(t: CoeffTriple, n: int) -> Tuple[int, CoeffTriple]:
         # negative: -d, c > 0), is one bit off by at most one. The quotient
         # is exact, by Newton's method above _NEWTON_BITS; below, `//` is
         # taken inline, as the call would cost more than the division.
-        k = max(1, min(left, c.bit_length() - (abs(b) + 1).bit_length() - 2))
-        s = max(0, c.bit_length() - k - 8)
-        num, den = (-d >> s) << k, c >> s
-        x = min(num // den if k <= _NEWTON_BITS else _quotient(num, den),
-                (1 << k) - 1)
-        b1, c1, d1 = _shift(b, c, d, x, k)
-        for _ in range(_MAX_CORRECTIONS):
-            if d1 >= 0:                    # f(x / 2^k) >= 0: x too large
-                e = -1
-            elif 1 + b1 + c1 + d1 <= 0:    # f((x + 1) / 2^k) <= 0: too small
-                e = 1
-            else:
-                break
-            x += e
-            b1, c1, d1 = _shift(b1, c1, d1, e, 0)
-        else:  # out of corrections: raises ConditionViolation unless certified
-            CoeffTriple(int(b1), int(c1), int(d1))
+        # Plain comparisons stand in for max() and min(): the doublings of
+        # a short jump cost more in calls than in arithmetic.
+        lc = c.bit_length()
+        k = lc - (b + 1 if b >= 0 else 1 - b).bit_length() - 2
+        if k > left:
+            k = left
+        if k < 1:
+            k = 1
+        s = lc - k - 8
+        num, den = ((-d >> s) << k, c >> s) if s > 0 else (-d << k, c)
+        x = num // den if k <= _NEWTON_BITS else _quotient(num, den)
+        if x >> k:
+            x = (1 << k) - 1
+        b, c, d = _shift(b, c, d, x, k)
+        # a correction is _shift(b, c, d, e, 0) for e = -1 or +1, written out
+        fixes = _MAX_CORRECTIONS
+        while d >= 0 or 1 + b + c + d <= 0:
+            if not fixes:  # out of corrections: (ii) or (iii) fails
+                raise ConditionViolation("ii" if d >= 0 else "iii",
+                                         int(b), int(c), int(d))
+            fixes -= 1
+            if d >= 0:                     # f(x / 2^k) >= 0: x too large
+                x -= 1
+                b, c, d = b - 3, c - 2 * b + 3, d + b - c - 1
+            else:                          # f((x + 1) / 2^k) <= 0: too small
+                x += 1
+                b, c, d = b + 3, c + 2 * b + 3, 1 + b + c + d
         m = (m << k) | x
-        b, c, d = b1, c1, d1
         left -= k
     return int(m), CoeffTriple(int(b), int(c), int(d))
 
@@ -356,10 +368,15 @@ def isolate_root_bits(t: CoeffTriple, k: int) -> Tuple[str, int]:
 
 
 def refine_to_resolution(t: CoeffTriple, eps_exponent: int) -> int:
-    """m with alpha in [m / 2^e, (m+1) / 2^e] for e = eps_exponent >= 1."""
+    """m with alpha in [m / 2^e, (m+1) / 2^e] for e = eps_exponent >= 1.
+
+    The m of isolate_root_bits, re-checked the same way, without its text.
+    """
     if eps_exponent < 1:
         raise ValueError("eps_exponent must be at least 1")
-    return isolate_root_bits(t, eps_exponent)[1]
+    m = jump(t, eps_exponent)[0]
+    shifted(t, m, eps_exponent)
+    return m
 
 
 def generate_bits(seed: Union[CoeffTriple, OrbitState],

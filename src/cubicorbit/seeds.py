@@ -6,8 +6,10 @@ equidistantly (gaps close to 1/c), which makes the family a natural
 pool of seeds for generating many sequences at once. The audits here
 check the three properties one wants from such a pool:
 
-* no member's orbit can merge with another's within a horizon (each
-  member's chain back through the inverse map meets no other member),
+* no two members' orbits ever merge: on a build_seed_set family
+  merger_audit proves it for every step, whatever horizon it reports
+  (the horizon bounds only its walk back through the inverse map,
+  which finds the mergers of hand-built sets),
 * the roots really are spread out (certified gap bounds), and
 * as a stronger separation heuristic, the defining cubics' squarefree
   discriminant kernels are pairwise different, which already forces the
@@ -115,15 +117,27 @@ def build_seed_set(b: int, c: int) -> SeedSet:
 class GapEntry:
     """Gap between the roots of consecutive members, labeled by the upper d.
 
-    With both roots enclosed to width 2**-p, delta = g / 2^p is the
-    difference of the enclosures' left ends, and lo = (g - 1) / 2^p and
-    hi = (g + 1) / 2^p bound the true gap rigorously.
+    Both roots are enclosed to width 2^-p, p = precision, and g is the
+    difference of the enclosures' left ends in units of 2^-p: delta =
+    g / 2^p estimates the gap, and lo = (g - 1) / 2^p and hi = (g + 1) /
+    2^p bound it rigorously. The three are Fractions, built when read.
     """
 
     d: int
-    delta: Fraction
-    lo: Fraction
-    hi: Fraction
+    g: int
+    precision: int
+
+    @property
+    def delta(self) -> Fraction:
+        return Fraction(self.g, 1 << self.precision)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.g - 1, 1 << self.precision)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.g + 1, 1 << self.precision)
 
 
 @dataclass(frozen=True)
@@ -152,8 +166,7 @@ def gap_report(s: SeedSet, precision: int) -> GapReport:
             raise PrecisionTooLow(
                 f"cannot certify a positive gap at d={upper.d} "
                 f"with 2^-{precision} enclosures")
-        gaps.append(GapEntry(d=upper.d, delta=Fraction(g, one),
-                             lo=Fraction(g - 1, one), hi=Fraction(g + 1, one)))
+        gaps.append(GapEntry(upper.d, g, precision))
         max_dev = max(max_dev, abs((g - 1) * c - one), abs((g + 1) * c - one))
     return GapReport(tuple(gaps), Fraction(max_dev, one))
 

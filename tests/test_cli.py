@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import stat
@@ -327,6 +328,20 @@ class TestGenerate:
                 "128", "--drop-prefix-bits", "32", "--jobs", "2",
                 "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_seed_set_members_are_validated_once(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # build_seed_set validates the members; the jobs take them as built
+        def no_revalidation(*args):
+            raise AssertionError("a member was validated again")
+        monkeypatch.setattr(cli, "validate_triple", no_revalidation)
+        out = tmp_path / "f.raw"
+        code, _, err = run_cli(capsys, "generate", "--seed-set", "0,4",
+                               "--per-seed-bits", "64", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert out.read_bytes() == b"".join(
+            generate_bits(validate_triple(0, 4, d), 64)[0][32:].to_bytes()
+            for d in (-1, -2, -3, -4))
 
     @pytest.mark.parametrize("argv, n_bits", [
         (["--b", "0", "--c", "1", "--d", "-1", "--bits", "31"], 31),
@@ -659,6 +674,15 @@ class TestSeeds:
         code, out, _ = run_cli(capsys, "seeds", "--b", "0", "--c", "5", "--gaps")
         assert code == 0
         assert json.loads(out)["gaps"]["precision"] == 64
+
+    def test_family_stdout_is_pinned(self, capsys):
+        # the paper's family with 64-bit gaps: every byte, floats included
+        code, out, _ = run_cli(capsys, "seeds", "--b", "0", "--c", "1001",
+                               "--gaps", "--precision", "64",
+                               "--audit-mergers", "200")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "41f22990c332c164bb06a31d22baef1e54999bed06f16efd0ac6b4e77f5679cf")
 
     def test_distinctness_summary(self, capsys):
         code, out, _ = run_cli(capsys, "seeds", "--b", "0", "--c", "5",

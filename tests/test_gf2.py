@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from cubicorbit import gf2
 from cubicorbit.gf2 import Gf2Matrix32, solve_linear_system
 from conftest import gf2_mul, parity
 
@@ -34,6 +35,29 @@ class TestMatrix:
         for u, v in zip(us.tolist(), vs.tolist()):
             assert gf2_mul(m, u ^ v) == gf2_mul(m, u) ^ gf2_mul(m, v)
         assert (m.apply(us ^ vs) == m.apply(us) ^ m.apply(vs)).all()
+
+    def test_apply_builds_its_tables_once(self, monkeypatch):
+        transposes = []
+        transpose = gf2._transpose
+
+        def counted(words):
+            transposes.append(1)
+            return transpose(words)
+
+        monkeypatch.setattr(gf2, "_transpose", counted)
+        rng = random.Random(3)
+        m = random_matrix(rng)
+        assert "_tables" not in m.__dict__  # nothing built before first use
+        vs = [rng.getrandbits(32) for _ in range(50)]
+        for _ in range(2):
+            got = m.apply(np.array(vs, dtype=np.uint32)).tolist()
+            assert got == [gf2_mul(m, v) for v in vs]
+        assert len(transposes) == 1
+        tables = m._byte_tables()
+        assert len(transposes) == 1
+        assert not tables.flags.writeable
+        with pytest.raises(ValueError):
+            tables[0, 1] = 0
 
     def test_row_indexing_is_one_based(self):
         m = Gf2Matrix32((0xDEADBEEF,) + (0,) * 31)

@@ -103,6 +103,29 @@ class TestJump:
                     assert got == step_loop(t, n)
         assert raised > 0
 
+    @pytest.mark.parametrize("triple, n, ks", [
+        ((0, 1001, -500), 1056, [7, 14, 28, 56, 112, 224, 448, 167]),
+        ((0, 1001, -500), 64, [7, 14, 28, 15]),
+        ((0, 1, -1), 98304, [1, 1, 1, 1, 3, 5, 10, 20, 40, 80, 160, 320, 640,
+                             1280, 2560, 5120, 10240, 20480, 40960, 16382])],
+        ids=["member-1056", "member-64", "stream-98304"])
+    def test_doubling_schedule_is_pinned(self, monkeypatch, triple, n, ks):
+        # the k of every doubling, as _shift sees it: the certificate chain
+        # of a family member and of the benchmark's stream
+        seen = []
+        shift = orbit._shift
+
+        def counted(b, c, d, x, k):
+            seen.append(k)
+            return shift(b, c, d, x, k)
+
+        monkeypatch.setattr(orbit, "_shift", counted)
+        t = validate_triple(*triple)
+        m, after = jump(t, n)
+        assert seen == ks
+        monkeypatch.undo()
+        assert shifted(t, m, n) == after
+
     def test_generate_bits_is_the_jump(self, resumed):
         bits, state = generate_bits(OrbitState(resumed, 1200), 333)
         m, after = jump(resumed, 333)

@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from cubicorbit import (ConditionViolation, isolate_root_bits,
-                        refine_to_resolution, shifted, validate_triple)
+from cubicorbit import (BitStream, ConditionViolation, isolate_root_bits,
+                        jump, orbit, refine_to_resolution, shifted,
+                        validate_triple)
 from conftest import random_triple
 
 
@@ -83,3 +84,20 @@ class TestRefine:
     def test_rejects_zero_resolution(self):
         with pytest.raises(ValueError):
             refine_to_resolution(validate_triple(0, 1, -1), 0)
+
+    def test_builds_no_text(self, monkeypatch):
+        def no_text(self):
+            raise AssertionError("0/1 text was built")
+        monkeypatch.setattr(BitStream, "to01", no_text)
+        t = validate_triple(0, 1001, -500)
+        for e in (1, 64, 1056):
+            assert refine_to_resolution(t, e) == jump(t, e)[0]
+        with pytest.raises(AssertionError):  # the patch is in force
+            isolate_root_bits(t, 64)
+
+    def test_rechecks_what_the_jump_returns(self, monkeypatch):
+        t = validate_triple(0, 1, -1)
+        m, after = jump(t, 64)
+        monkeypatch.setattr(orbit, "jump", lambda t, n: (m + 1, after))
+        with pytest.raises(ConditionViolation):
+            refine_to_resolution(t, 64)

@@ -7,8 +7,8 @@ from cubicorbit import (DistinctnessReport, InvalidShape, KernelInfo,
                         MergerCollision, PrecisionTooLow, SeedSet,
                         SourceReason, build_seed_set,
                         field_distinctness_check, gap_report, inverse_step,
-                        is_source_point, merger_audit, seeds, step,
-                        validate_triple)
+                        is_source_point, merger_audit,
+                        refine_to_resolution, seeds, step, validate_triple)
 from conftest import merger_audit_all_states, random_triple
 
 
@@ -136,6 +136,22 @@ class TestGapReport:
             for g in rep.gaps:
                 assert Fraction(c, c + 3) < g.lo * c
                 assert g.hi * c < 1
+
+    @pytest.mark.parametrize("precision", [64, 100])
+    def test_gaps_are_integers_read_as_fractions(self, precision):
+        fam = build_seed_set(0, 1001)
+        rep = gap_report(fam, precision)
+        one = 1 << precision
+        ms = [refine_to_resolution(t, precision) for t in fam.members]
+        assert len(rep.gaps) == 1000
+        for gap, upper, m_upper, m_lower in zip(rep.gaps, fam.members, ms,
+                                                ms[1:]):
+            g = m_lower - m_upper
+            assert (gap.d, gap.g, gap.precision) == (upper.d, g, precision)
+            for value, num in ((gap.delta, g), (gap.lo, g - 1),
+                               (gap.hi, g + 1)):
+                assert type(value) is Fraction
+                assert value == Fraction(num, one)
 
     def test_rejects_low_precision(self):
         with pytest.raises(ValueError):
