@@ -211,18 +211,18 @@ def write_bits(path, streams: Iterable[BitStream], fmt: OutputFormat,
         for s in streams:
             value, length = (value << s.length) | s.value, length + s.length
             keep = length % unit
-            chunk = BitStream(value >> keep, length - keep)
+            head, n = value >> keep, length - keep  # the n bits to write now
             value, length = value & ((1 << keep) - 1), keep
-            if fmt is OutputFormat.RAW_PACKED_BITS:
-                fh.write(chunk.to_bytes())
+            if fmt is OutputFormat.RAW_PACKED_BITS:  # whole bytes: no padding
+                fh.write(head.to_bytes(n // 8, "big"))
             elif fmt is OutputFormat.WORDS32_LE:
-                fh.write(chunk.pack_words().astype("<u4").tobytes())
+                fh.write(BitStream(head, n).pack_words().astype("<u4").tobytes())
             elif fmt is OutputFormat.CSV:
                 fh.writelines(f"{written + i},{b}\n".encode()
-                              for i, b in enumerate(chunk.to01()))
+                              for i, b in enumerate(BitStream(head, n).to01()))
             else:  # ascii, and the string of json
-                fh.write(chunk.to01().encode())
-            written += len(chunk)
+                fh.write(BitStream(head, n).to01().encode())
+            written += n
         if written + length != n_bits:
             raise ValueError(f"{written + length} bits arrived for a "
                              f"{n_bits}-bit {fmt.value} file")

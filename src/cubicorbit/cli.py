@@ -14,6 +14,11 @@ files.
 main() builds the parser once per process and reuses it: parse_args
 keeps no state between calls, and each cmd_* function looks its helpers
 up as module globals when it runs. build_parser() returns a fresh one.
+
+`seeds` and `stats` print the text of json.dumps(payload, indent=2), but
+through _indented_json, not indent=: given an indent, CPython 3.11 drops
+its C encoder for the pure-Python one, which took 40% of a 1001-member
+`seeds` run.
 """
 
 from __future__ import annotations
@@ -58,7 +63,52 @@ def _triple_from_args(args) -> CoeffTriple:
 
 def _worker_generate(job) -> BitStream:
     triple, n_bits, drop = job
-    return generate_bits(triple, n_bits)[0][drop:]
+    bits, n = generate_bits(triple, n_bits)[0], n_bits - drop
+    return BitStream(bits.value & ((1 << n) - 1), n)  # the last n bits
+
+
+# what json writes as a container; all else is a scalar to it
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented_json(obj, pad: str = "\n") -> str:
+    """Exactly json.dumps(obj, indent=2), from the C encoder; pad is a
+    newline and obj's own indent.
+
+    Each container is one encoder call whose item separator holds the
+    newline and indent of its items, and Python adds the brackets. A
+    nested value stands in that call as 0, and its own text replaces the
+    0. Splitting at the separator is exact, as the encoder escapes every
+    newline inside a string. A list of non-empty dicts of scalars (a
+    table) is a single call, its rows split at "},<newline and indent>{".
+    """
+    if not isinstance(obj, _CONTAINERS):
+        return json.dumps(obj)
+    is_dict = isinstance(obj, dict)
+    start, end = "{}" if is_dict else "[]"
+    if not obj:
+        return start + end
+    inner = pad + "  "
+    sep = "," + inner
+    if not is_dict and all(isinstance(r, dict) and r for r in obj) and not any(
+            issubclass(t, _CONTAINERS)
+            for t in {type(v) for r in obj for v in r.values()}):
+        row = inner + "  "
+        flat = json.JSONEncoder(separators=("," + row, ": ")).encode(obj)
+        rows = flat[2:-2].replace("}," + row + "{",
+                                  inner + "}" + sep + "{" + row)
+        return "[" + inner + "{" + row + rows + inner + "}" + pad + "]"
+    values = obj.values() if is_dict else obj
+    nested = [isinstance(v, _CONTAINERS) for v in values]
+    encode = json.JSONEncoder(separators=(sep, ": ")).encode
+    if not any(nested):
+        return start + inner + encode(obj)[1:-1] + pad + end
+    stub = ({k: 0 if n else v for (k, v), n in zip(obj.items(), nested)}
+            if is_dict else [0 if n else v for v, n in zip(obj, nested)])
+    items = encode(stub)[1:-1].split(sep)
+    return start + inner + sep.join(
+        item[:-1] + _indented_json(v, inner) if n else item
+        for item, v, n in zip(items, values, nested)) + pad + end
 
 
 def _reject_given(args, message: str, keys: Sequence[str]) -> None:
@@ -204,7 +254,7 @@ def cmd_seeds(args) -> int:
             "uncertified": rep.uncertified(),
             "equal_kernels": rep.equal_kernels(),
         }
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(_indented_json(payload) + "\n")
     return EXIT_FAIL if failed else EXIT_OK
 
 
@@ -267,7 +317,7 @@ def cmd_stats(args) -> int:
         raise ValueError("stats: --alpha must be between 0 and 1")
     result = run_suite(read_bits(args.infile, OutputFormat(args.format)),
                        alpha=args.alpha)
-    sys.stdout.write(json.dumps(result.to_dict(), indent=2) + "\n")
+    sys.stdout.write(_indented_json(result.to_dict()) + "\n")
     return EXIT_OK if result.all_passed else EXIT_FAIL
 
 

@@ -343,6 +343,19 @@ class TestGenerate:
             generate_bits(validate_triple(0, 4, d), 64)[0][32:].to_bytes()
             for d in (-1, -2, -3, -4))
 
+    def test_seed_set_generates_each_member_once(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # one cli.generate_bits call per member, with the member's bit count
+        calls, real = [], cli.generate_bits
+        monkeypatch.setattr(cli, "generate_bits", lambda t, n: calls.append(
+            ((t.b, t.c, t.d), n)) or real(t, n))
+        out = tmp_path / "f.raw"
+        code, _, err = run_cli(capsys, "generate", "--seed-set", "0,7",
+                               "--per-seed-bits", "72", "--drop-prefix-bits",
+                               "8", "--jobs", "1", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert calls == [((0, 7, d), 72) for d in range(-1, -8, -1)]
+
     @pytest.mark.parametrize("argv, n_bits", [
         (["--b", "0", "--c", "1", "--d", "-1", "--bits", "31"], 31),
         (["--b", "0", "--c", "1", "--d", "-1", "--bits", "100"], 100),
@@ -989,6 +1002,64 @@ class TestStats:
         payload = json.loads(out)
         assert code == (0 if payload["all_passed"] else 1)
         assert len(payload["reports"]) == 9
+
+
+class TestIndentedJson:
+    """cli._indented_json is json.dumps(obj, indent=2), byte for byte."""
+
+    @pytest.mark.parametrize("obj", [
+        True, False, None, 1, 0, "x", 2.5,
+        [True, 1, False, 0, None], {"t": True, "one": 1, "f": False, "n": None},
+        {}, [], {"a": {}, "b": []}, [[]], [{}],
+        [{}, {"a": 1}], [{"a": 1}, {}], [{"a": 1, "b": 2}, {"a": 3, "b": 4}],
+        [{"a": 1}, {"b": {"c": 2}}], [{"a": 1}, {"b": [2]}], [{"a": 1}, 2],
+        [[1, 2], [3], []], {"x": [[1, [2, [3]]], {"y": ()}]}, (1, (2, 3)),
+        ["}", "{", "],", '"', "\\", "a\nb", "\u00e9\u2603\U0001f600",
+         "},\n    {"],
+        {"}": "{", "],\n": "\\", "\u00e9": "\n"},
+        [{"s": "},\n      {"}, {"s": "}"}, {"s": "{\n"}],
+        {"s": ",\n  0", "n": [",\n    0", {"t": ",\n"}], "e": [{}]},
+        [0.1, 1e-7, 1e16, 5e-324, -0.0, float("nan"), float("inf"),
+         -float("inf"), 2 ** 64, 2 ** 64 + 1, -(2 ** 100)],
+        {1: [2], 1.5: {"a": 1}, True: [], None: 0, "k": {2: 3, False: 4}},
+    ])
+    def test_equals_json_dumps(self, obj):
+        assert cli._indented_json(obj) == json.dumps(obj, indent=2)
+
+    def test_rejects_what_json_dumps_rejects(self):
+        for obj in ({"a": object()}, [{"a": 1}, {"b": object()}],
+                    {"a": [1, object()]}, {(1, 2): 3}):
+            with pytest.raises(TypeError):
+                cli._indented_json(obj)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["seeds", "--b", "0", "--c", "5"], 0),
+        (["seeds", "--b", "0", "--c", "1", "--gaps"], 0),
+        (["seeds", "--b", "0", "--c", "40", "--gaps", "--precision", "100"], 0),
+        (["seeds", "--b", "0", "--c", "40", "--distinctness", "50"], 0),
+        (["seeds", "--b", "0", "--c", "1", "--audit-mergers", "5"], 1),
+        (["stats", "--in", "mt.bin", "--format", "words32le"], 0),
+        (["stats", "--in", "zeros.raw"], 1),
+    ], ids=["seeds", "no-gaps", "precision-100", "uncertified", "merger",
+            "stats-pass", "stats-fail"])
+    def test_cli_prints_json_dumps_text(self, tmp_path, capsys, monkeypatch,
+                                        argv, code):
+        write_words_le(tmp_path / "mt.bin", MT19937().generate(8192))
+        (tmp_path / "zeros.raw").write_bytes(bytes(20000))
+        argv = [str(tmp_path / a) if a.endswith((".bin", ".raw")) else a
+                for a in argv]
+        if "--audit-mergers" in argv:  # the collision of test_merger_exits_1
+            t = validate_triple(0, 1, -1)
+            monkeypatch.setattr(cli, "build_seed_set",
+                                lambda b, c: SeedSet(0, 1, (t, step(t)[0])))
+        got = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "_indented_json",
+                            lambda obj: json.dumps(obj, indent=2))
+        want = run_cli(capsys, *argv)
+        assert got == want
+        assert got[0] == code
+        if argv[0] == "seeds" and "--distinctness" in argv:
+            assert len(json.loads(got[1])["distinctness"]["uncertified"]) == 21
 
 
 class TestParserReuse:
