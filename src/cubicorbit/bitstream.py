@@ -16,6 +16,11 @@ and `BitStream.pack_words` raise ValueError, through `check_whole_units`,
 for a bit count that would leave a partial last unit: padding it would
 emit bits no certificate covers. A `json` file is an object with an
 int `length` and a 0/1 string `bits`, and `read_bits` checks both.
+
+The stream is an int, so only the functions that build or read arrays
+import numpy, on first use: `from_bits`, `from_words`, `packed`,
+`pack_words` and the word-file helpers. The raw, ascii, csv and json
+paths never load it.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ import stat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OutputFormat(Enum):
@@ -57,6 +63,7 @@ def check_whole_units(fmt: OutputFormat, n_bits: int) -> int:
 
 def as_words32(words: Iterable[int]) -> np.ndarray:
     """`words` as a uint32 array; ValueError unless each is in [0, 2^32)."""
+    import numpy as np
     arr = np.asarray(words if isinstance(words, np.ndarray) else list(words))
     if arr.size and (arr.dtype.kind not in "iu"  # no float, bool or object
                      or arr.min() < 0 or arr.max() > 0xFFFFFFFF):
@@ -79,6 +86,7 @@ class BitStream:
     @classmethod
     def from_bits(cls, bits: Sequence[int] | np.ndarray) -> "BitStream":
         """The stream of a one-dimensional sequence of 0/1 values."""
+        import numpy as np
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 1:
             raise ValueError("bits must be one-dimensional")
@@ -112,6 +120,7 @@ class BitStream:
     @functools.cached_property
     def packed(self) -> np.ndarray:
         """Read-only uint8 view of `to_bytes()`, packed on first use."""
+        import numpy as np
         return np.frombuffer(self.to_bytes(), dtype=np.uint8)
 
     def __len__(self) -> int:
@@ -144,16 +153,19 @@ class BitStream:
 
     def pack_words(self) -> np.ndarray:
         """Pack into uint32 words, first bit to the word's MSB; whole words only."""
+        import numpy as np
         check_whole_units(OutputFormat.WORDS32_LE, len(self))
         return np.frombuffer(self.to_bytes(), ">u4").astype(np.uint32)
 
 
 def write_words_le(path, words: np.ndarray) -> None:
+    import numpy as np
     with replace_on_success(path) as fh:
         fh.write(np.asarray(words, dtype=np.uint32).astype("<u4").tobytes())
 
 
 def read_words_le(path) -> np.ndarray:
+    import numpy as np
     raw = Path(path).read_bytes()
     if len(raw) % 4:  # np.fromfile would drop the partial word in silence
         raise ValueError(f"{path} holds {len(raw)} bytes, "

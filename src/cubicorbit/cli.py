@@ -32,7 +32,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import __version__
+from . import __version__, orbit
 from .bitstream import (BitStream, OutputFormat, check_whole_units, read_bits,
                         read_words_le, replace_on_success, write_bits,
                         write_words_le)
@@ -325,7 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubicorbit",
         description="exact doubling-map bit generation on cubic integer triples")
-    parser.add_argument("--version", action="version", version=__version__)
+    # the version, then the big-integer type the jump runs on
+    backend = "int" if orbit.mpz is int else "gmpy2.mpz"
+    parser.add_argument("--version", action="version",
+                        version=f"{__version__} ({backend})")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("generate", help="emit pseudorandom bits")

@@ -4,29 +4,48 @@ A vector in F_2^32 is a plain Python int in [0, 2**32); bit position
 31 (the most significant bit) is component 1. A 32x32 matrix is held
 row-wise, row 1 first, each row an int under the same convention.
 
-This module owns that layout: `_transpose` is its one transpose and
-`Gf2Matrix32.apply` its one product, on every word of a uint32 array.
+This module owns that layout: `_transpose` is its one transpose, on
+Python ints, and `Gf2Matrix32.apply` its one product, on every word of a
+uint32 array. Only the product and its byte tables import numpy.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
-from .bitstream import as_words32
+if TYPE_CHECKING:
+    import numpy as np
 
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
 
 
-def _transpose(words: Sequence[int] | np.ndarray) -> np.ndarray:
-    """The 32 words (MSB first) of a 32x32 bit matrix read down its columns."""
-    words = as_words32(words).astype(">u4")
-    bits = np.unpackbits(words.view(np.uint8)).reshape(32, 32)
-    # bits[i, j] is bit j of word i, MSB first; read bits.T row by row
-    return np.packbits(bits.T).view(">u4").astype(np.uint32)
+def _transpose(words: Sequence[int]) -> List[int]:
+    """The 32 words (MSB first) of a 32x32 bit matrix read down its columns.
+
+    Five rounds of masked block swaps (Warren, Hacker's Delight, 7-3): the
+    round at j = 16, 8, 4, 2, 1 swaps, in every 2j x 2j block, the top
+    right j x j block with the bottom left one. The mask picks the low j
+    bits of every 2j bits of a word, the columns of the top right block.
+    """
+    try:
+        rows = [operator.index(w) for w in words]
+    except TypeError:  # a float or another non-integer word: fails below
+        rows = []
+    if len(rows) != WORD_BITS or not all(0 <= r <= WORD_MASK for r in rows):
+        raise ValueError("expected 32 words: integers in [0, 2^32)")
+    j, mask = 16, 0x0000FFFF
+    while j:
+        for k in range(WORD_BITS):
+            if not k & j:  # row k of a block's top half, row k + j below it
+                t = (rows[k] ^ (rows[k + j] >> j)) & mask
+                rows[k] ^= t
+                rows[k + j] ^= t << j
+        j >>= 1
+        mask ^= mask << j
+    return rows
 
 
 @dataclass(frozen=True)
@@ -56,7 +75,9 @@ class Gf2Matrix32:
         """
         tables = self.__dict__.get("_tables")
         if tables is None:
-            cols = _transpose(self.rows)[::-1]  # M (1 << j) at index j
+            import numpy as np
+            # M (1 << j) at index j
+            cols = np.array(_transpose(self.rows)[::-1], dtype=np.uint32)
             bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
                                  bitorder="little").astype(bool)  # bit b of v
             tables = np.bitwise_xor.reduce(
@@ -72,6 +93,7 @@ class Gf2Matrix32:
         bytes in place, read from _byte_tables(). The bytes are read
         little-endian whatever the host order.
         """
+        import numpy as np
         tables = self._byte_tables()
         data = np.ascontiguousarray(words, dtype="<u4").view(np.uint8).reshape(-1, 4)
         acc = np.take(tables[0], data[:, 0])
@@ -82,7 +104,7 @@ class Gf2Matrix32:
     @classmethod
     def from_columns(cls, columns: Sequence[int]) -> "Gf2Matrix32":
         """Matrix from its 32 columns, column 1 first, as 32-bit ints."""
-        return cls(tuple(_transpose(columns).tolist()))
+        return cls(tuple(_transpose(columns)))
 
     @classmethod
     def from_function(cls, fn: Callable[[int], int]) -> "Gf2Matrix32":

@@ -18,6 +18,9 @@ A y_{n-623} vanish (rows 1-8 orthogonal to the word) and B y_{n-624}
 vanishes (row 2 orthogonal). At such n the recurrence forces the top
 bytes of y_n and y_{n-227} to coincide, a correlation that a generator
 without this linear structure does not show.
+
+The matrices are built on Python ints; numpy is imported by the
+generator and the array checks when they first run.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from .bitstream import as_words32
 from .gf2 import WORD_MASK, Gf2Matrix32, solve_linear_system
+
+if TYPE_CHECKING:
+    import numpy as np
 
 N = 624
 DEFAULT_SEED = 5489
@@ -42,13 +46,14 @@ class MT19937:
     stream). Seeds are ints in [0, 2^32); None does not draw OS entropy."""
 
     def __init__(self, seed: int = DEFAULT_SEED):
+        import numpy as np
         self._rs = np.random.RandomState(operator.index(seed))
 
     def generate(self, count: int) -> np.ndarray:
         """The next `count` outputs as a uint32 array."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        return self._rs.randint(0, 1 << 32, size=count, dtype=np.uint32)
+        return self._rs.randint(0, 1 << 32, size=count, dtype="uint32")
 
 
 def temper(y):
@@ -114,7 +119,7 @@ def verify_recurrence(outputs: Sequence[int] | np.ndarray,
     L = ys.size
     predicted = ys[N - LAG:L - LAG] ^ a.apply(ys[1:L - N + 1]) \
         ^ b.apply(ys[:L - N])
-    mism = np.nonzero(predicted != ys[N:])[0]
+    mism = (predicted != ys[N:]).nonzero()[0]
     if mism.size:
         return RecurrenceCheck(False, L - N, int(mism[0]) + N)
     return RecurrenceCheck(True, L - N)
@@ -167,6 +172,7 @@ def scan_conditions_ab(outputs: Sequence[int] | np.ndarray,
     means B y_{n-624} = 0. Wherever both hold, the recurrence adds nothing
     to the top byte.
     """
+    import numpy as np
     ys = _as_words(outputs)
     L = ys.size
     lag623 = ys[1:L - N + 1]

@@ -8,7 +8,8 @@ returns the conventional statistic and P-value; a sequence passes a
 test at significance alpha when its P-value is at least alpha. P-value
 special functions come from scipy (erfc, the regularized upper
 incomplete gamma, the normal CDF), imported by each test so that bits
-are generated without scipy; their error is far below 1e-10.
+are generated without scipy; their error is far below 1e-10. numpy is
+imported the same way, by the functions that build or read arrays.
 
 Inputs shorter than a test's documented minimum raise InputTooShort;
 the suite is meant for sequences of 1e5 bits or more. Testing here is
@@ -22,15 +23,15 @@ Every kernel reads the stream packed, never one byte per bit: popcounts
 of its integer `value` for monobit and runs, popcounts of its big-endian
 64-bit words (from `BitStream.packed`) and a prefix sum over them for
 block frequency, and tables over its big-endian 16-bit chunks for
-longest run and cumulative sums. Those 65536-entry tables are built from
-the byte tables on first use, not at import. The pattern tests (serial,
-approximate entropy) count the cyclic overlapping m-bit windows two at a
-time: one histogram of the (m+1)-bit windows at the even bit offsets of
-the 64-bit word read at each byte gives the m-bit windows at both that
-offset and the next. That histogram folds to the shorter pattern
-lengths. Each public test builds the histogram of the sequence it is
-given; run_suite builds one at the serial length and passes it to both
-tests' private kernels.
+longest run and cumulative sums. The byte tables, and the 65536-entry
+tables built from them, are built on first use, not at import. The
+pattern tests (serial, approximate entropy) count the cyclic overlapping
+m-bit windows two at a time: one histogram of the (m+1)-bit windows at
+the even bit offsets of the 64-bit word read at each byte gives the
+m-bit windows at both that offset and the next. That histogram folds to
+the shorter pattern lengths. Each public test builds the histogram of
+the sequence it is given; run_suite builds one at the serial length and
+passes it to both tests' private kernels.
 
 A pattern statistic that is exactly 0 is reported as 0 with P-value 1:
 serial's differences are decided on integers, approximate entropy's by
@@ -44,11 +45,12 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field
 from functools import cache, reduce
-from typing import Dict, List
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, NamedTuple
 
 from .bitstream import BitStream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ALPHA = 0.01
 
@@ -88,31 +90,46 @@ def _stream(s, minimum: int, test: str) -> BitStream:
 
 def _cumsum(x: np.ndarray, n: int) -> np.ndarray:
     """Running sum of x, in int32 while the n-bit input bounds every sum."""
+    import numpy as np
     return np.cumsum(x, dtype=np.int32 if n < 1 << 31 else np.int64)
 
 
-# the ones among a 64-bit word's top r bits are those of w & _TOP_BITS64[r]
-_TOP_BITS64 = ~(np.uint64(2**64 - 1) >> np.arange(64, dtype=np.uint64))
+class _ByteTables(NamedTuple):
+    """The per-byte tables, indexed by the byte, its bits read MSB first."""
 
-# per-byte tables, indexed by the byte; _BYTE_BITS[b] is b's bits MSB first
-_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-# runs of ones: leading, trailing, and the longest anywhere in the byte
-_LEAD = _BYTE_BITS.cumprod(axis=1).sum(axis=1).astype(np.uint8)
-_TRAIL = _BYTE_BITS[:, ::-1].cumprod(axis=1).sum(axis=1).astype(np.uint8)
-_LAST_ZERO = np.maximum.accumulate(np.where(_BYTE_BITS, -1, np.arange(8)), axis=1)
-_INNER = (np.arange(8) - _LAST_ZERO).max(axis=1).astype(np.uint8)
-# the +1/-1 walk: its partial sums after each bit of the byte, its net
-# step, and how far it rises above and falls below its end inside the byte
-_PARTIAL = np.cumsum(2 * _BYTE_BITS.astype(np.int8) - 1, axis=1, dtype=np.int8)
-_NET = _PARTIAL[:, -1]
-_RISE = _PARTIAL.max(axis=1) - _NET
-_FALL = _NET - _PARTIAL.min(axis=1)
+    # the ones among a 64-bit word's top r bits are those of w & top_bits64[r]
+    # (the one table indexed by r, not by a byte)
+    top_bits64: np.ndarray
+    # runs of ones: leading, trailing, and the longest anywhere in the byte
+    lead: np.ndarray
+    trail: np.ndarray
+    inner: np.ndarray
+    # the +1/-1 walk: its partial sums after each bit of the byte, its net
+    # step, and how far it rises above and falls below its end inside the byte
+    partial: np.ndarray
+    net: np.ndarray
+    rise: np.ndarray
+    fall: np.ndarray
 
 
-# the same quantities for 16-bit chunks, two bytes read big-endian, built
-# from the byte tables on first use: axis 0 of each outer operation is the
-# chunk's high byte, axis 1 its low byte
-_HI, _LO = np.arange(256)[:, None], np.arange(256)[None, :]
+@cache
+def _byte_tables() -> _ByteTables:
+    """The per-byte tables, built on first use and read-only."""
+    import numpy as np
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    last_zero = np.maximum.accumulate(np.where(bits, -1, np.arange(8)), axis=1)
+    partial = np.cumsum(2 * bits.astype(np.int8) - 1, axis=1, dtype=np.int8)
+    net = partial[:, -1]
+    tables = _ByteTables(
+        top_bits64=~(np.uint64(2**64 - 1) >> np.arange(64, dtype=np.uint64)),
+        lead=bits.cumprod(axis=1).sum(axis=1).astype(np.uint8),
+        trail=bits[:, ::-1].cumprod(axis=1).sum(axis=1).astype(np.uint8),
+        inner=(np.arange(8) - last_zero).max(axis=1).astype(np.uint8),
+        partial=partial, net=net,
+        rise=partial.max(axis=1) - net, fall=net - partial.min(axis=1))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _flat_read_only(*tables: np.ndarray) -> tuple:
@@ -123,22 +140,29 @@ def _flat_read_only(*tables: np.ndarray) -> tuple:
     return flat
 
 
+# the same quantities for 16-bit chunks, two bytes read big-endian, built
+# from the byte tables on first use: axis 0 of each outer operation (hi)
+# is the chunk's high byte, axis 1 (lo) its low byte
 @cache
 def _run_tables16() -> tuple:
     """(LEAD16, TRAIL16, INNER16), indexed by the 16-bit chunk."""
-    lead = np.where(_HI == 0xFF, 8 + _LEAD[_LO], _LEAD[_HI])
-    trail = np.where(_LO == 0xFF, 8 + _TRAIL[_HI], _TRAIL[_LO])
-    inner = np.maximum(np.maximum(_INNER[_HI], _INNER[_LO]),
-                       _TRAIL[_HI] + _LEAD[_LO])
+    import numpy as np
+    t, (hi, lo) = _byte_tables(), np.ogrid[:256, :256]
+    lead = np.where(hi == 0xFF, 8 + t.lead[lo], t.lead[hi])
+    trail = np.where(lo == 0xFF, 8 + t.trail[hi], t.trail[lo])
+    inner = np.maximum(np.maximum(t.inner[hi], t.inner[lo]),
+                       t.trail[hi] + t.lead[lo])
     return _flat_read_only(lead, trail, inner)
 
 
 @cache
 def _walk_tables16() -> tuple:
     """(NET16, RISE16, FALL16), indexed by the 16-bit chunk."""
-    net = _NET[_HI] + _NET[_LO]
-    rise = np.maximum(_RISE[_HI] - _NET[_LO], _RISE[_LO])
-    fall = np.maximum(_FALL[_HI] + _NET[_LO], _FALL[_LO])
+    import numpy as np
+    t, (hi, lo) = _byte_tables(), np.ogrid[:256, :256]
+    net = t.net[hi] + t.net[lo]
+    rise = np.maximum(t.rise[hi] - t.net[lo], t.rise[lo])
+    fall = np.maximum(t.fall[hi] + t.net[lo], t.fall[lo])
     return _flat_read_only(net, rise, fall)
 
 
@@ -155,6 +179,7 @@ def monobit(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
 
 def block_frequency(s, m: int = 128, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Balance of ones within disjoint m-bit blocks."""
+    import numpy as np
     from scipy.special import gammaincc
     s = _stream(s, 100, "block_frequency")
     if m < 2:
@@ -172,7 +197,8 @@ def block_frequency(s, m: int = 128, alpha: float = DEFAULT_ALPHA) -> TestReport
     ones = np.bitwise_count(words)
     through = _cumsum(ones, len(s))
     word, r = np.divmod(np.arange(n_blocks + 1, dtype=np.int64) * m, 64)
-    before = through[word] - ones[word] + np.bitwise_count(words[word] & _TOP_BITS64[r])
+    before = through[word] - ones[word] + np.bitwise_count(
+        words[word] & _byte_tables().top_bits64[r])
     pi = np.diff(before) / m
     chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
     p = gammaincc(n_blocks / 2.0, chi2 / 2.0)
@@ -207,6 +233,7 @@ _LONGEST_RUN_TABLES = {
 
 def longest_run(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     """Distribution of the longest run of ones per block."""
+    import numpy as np
     from scipy.special import gammaincc
     s = _stream(s, 128, "longest_run")
     n = len(s)
@@ -218,7 +245,8 @@ def longest_run(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     # one across three or more holds an all-ones chunk, whose inner run is
     # 16 >= hi, so the clip below makes this exact
     if m == 8:
-        chunks, (lead, trail, inner) = blocks, (_LEAD, _TRAIL, _INNER)
+        t = _byte_tables()
+        chunks, (lead, trail, inner) = blocks, (t.lead, t.trail, t.inner)
     else:
         chunks, (lead, trail, inner) = blocks.view(">u2"), _run_tables16()
     across = np.take(trail, chunks[:, :-1]) + np.take(lead, chunks[:, 1:])
@@ -239,6 +267,7 @@ def _paired_windows(s: BitStream, m: int):
     p + 8, p + 16, ... that end by bit n - 1, read from the big-endian
     64-bit word at each byte (m <= 57). The next array overwrites it.
     """
+    import numpy as np
     n = len(s)
     if n <= m:
         return
@@ -264,6 +293,7 @@ def _window_counts(s: BitStream, m: int) -> np.ndarray:
     no (m+1)-bit window of its own when n - m is even, and is counted
     alone. The at most m - 1 windows that wrap are read from the integer.
     """
+    import numpy as np
     n, mask = len(s), (1 << m) - 1
     wide = np.zeros(2 << m, dtype=np.int64)
     for win in _paired_windows(s, m):
@@ -293,11 +323,13 @@ def _fold(counts: np.ndarray, m: int) -> np.ndarray:
 
 
 def _psi_sq(counts: np.ndarray, n: int) -> float:
+    import numpy as np
     return float(counts.size / n * np.sum(counts.astype(np.float64) ** 2) - n)
 
 
 def _n_psi_sq(counts: np.ndarray, n: int) -> int:
     """n * psi^2 = 2^k * sum(c^2) - n^2 of a k-bit histogram, exactly."""
+    import numpy as np
     c = counts.astype(np.uint64 if n < 1 << 32 else object)  # sum(c^2) <= n^2
     return counts.size * int(c @ c) - n * n
 
@@ -334,6 +366,7 @@ def _serial(counts: np.ndarray, n: int, m: int, alpha: float) -> List[TestReport
 
 def cumulative_sums(s, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
     """Maximum excursion of the +1/-1 partial sums, forward and backward."""
+    import numpy as np
     from scipy.special import ndtr
     s = _stream(s, 100, "cumulative_sums")
     n = len(s)
@@ -349,7 +382,7 @@ def cumulative_sums(s, alpha: float = DEFAULT_ALPHA) -> List[TestReport]:
     ends = _cumsum(np.take(net, head), n)
     lo = min(0, int((ends - np.take(fall, head)).min()))
     hi = max(0, int((ends + np.take(rise, head)).max()))
-    rest = _PARTIAL[s.packed[2 * whole:2 * whole + 2]]
+    rest = _byte_tables().partial[s.packed[2 * whole:2 * whole + 2]]
     rest[1:] += rest[0, -1]  # a second byte's sums start where the first's end
     tail = ends[-1] + rest.ravel()[:n - 16 * whole]
     lo, hi = min(lo, int(tail.min())), max(hi, int(tail.max()))
@@ -394,6 +427,7 @@ def approximate_entropy(s, m: int = 10, alpha: float = DEFAULT_ALPHA) -> TestRep
 def _approximate_entropy(counts: np.ndarray, n: int, m: int,
                          alpha: float) -> TestReport:
     """approximate_entropy from the cyclic window histogram at m + 1 bits or more."""
+    import numpy as np
     from scipy.special import gammaincc
 
     def phi(hist: np.ndarray) -> float:

@@ -2,6 +2,7 @@ import json
 import os
 import random
 
+import numpy as np
 import pytest
 
 from cubicorbit import (MergerAudit, MergerCollision, generate_bits, step,
@@ -47,6 +48,15 @@ def gf2_mul(m, v: int) -> int:
     for r in m.rows:
         acc = (acc << 1) | parity(r & v)
     return acc
+
+
+def numpy_transpose(words) -> list:
+    """Reference for gf2._transpose: the 32x32 bit matrix unpacked to one
+    byte per bit, transposed and packed again."""
+    words = np.asarray(words, dtype=np.uint32).astype(">u4")
+    bits = np.unpackbits(words.view(np.uint8)).reshape(32, 32)
+    # bits[i, j] is bit j of word i, MSB first; read bits.T row by row
+    return np.packbits(bits.T).view(">u4").astype(np.uint32).tolist()
 
 
 def horner_shift(b, c, d, x, k):

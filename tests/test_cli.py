@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import hashlib
 import json
@@ -1151,3 +1152,105 @@ def test_importing_the_cli_loads_no_process_pool():
     out = run_fresh_python("import sys, cubicorbit.cli\n"
                            "print('concurrent.futures' in sys.modules)\n")
     assert out.splitlines()[-1] == "False"
+
+
+def perfbench_setup_code() -> str:
+    """perfbench/run.py's SETUP_CODE, read from its source, src filled in."""
+    root = Path(__file__).resolve().parents[1]
+    tree = ast.parse((root / "perfbench" / "run.py").read_text())
+    code = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "SETUP_CODE")
+    return code.format(src=str(Path(cli.__file__).resolve().parents[1]))
+
+
+def test_benchmark_setup_loads_no_numpy():
+    # import the package, build the parser, load the recurrence matrices
+    out = run_fresh_python(perfbench_setup_code()
+                           + "\nprint('numpy' in sys.modules)\n")
+    assert out.splitlines()[-1] == "False"
+
+
+def test_bit_commands_load_no_numpy(tmp_path):
+    # in a fresh interpreter: numpy is imported only by code that builds arrays
+    script = (
+        "import sys\n"
+        "from cubicorbit.cli import main\n"
+        "out = sys.argv[1]\n"
+        "src = ['--b', '0', '--c', '1', '--d', '-1', '--bits', '64']\n"
+        "runs = [['generate', *src, '--format', f, '--out', f'{out}.{f}']\n"
+        "        for f in ('raw', 'ascii', 'csv', 'json')]\n"
+        "runs += [['generate', '--seed-set', '0,40', '--per-seed-bits', '64',\n"
+        "          '--out', out + '.family'],\n"
+        "         ['verify', *src],\n"
+        "         ['seeds', '--b', '0', '--c', '40', '--gaps',\n"
+        "          '--audit-mergers', '200', '--distinctness', '50']]\n"
+        "loaded = []\n"
+        "for argv in runs:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "try:\n"
+        "    main(['--version'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)\n")
+    out = run_fresh_python(script, str(tmp_path / "bits"))
+    assert out.splitlines()[-1] == str([False] * 8)
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--b", "0", "--c", "1", "--d", "-1", "--bits", "4096",
+     "--format", "words32le", "--out", "{out}/bits.words"],
+    ["stats", "--in", "{src}/bits.raw"],
+    ["stats", "--in", "{src}/bits.words", "--format", "words32le"],
+    ["mt", "verify", "--count", "2000"],
+    ["mt", "scan", "--count", "5000"],
+    ["mt", "scan", "--count", "5000", "--out", "{out}/scan.csv"],
+], ids=["generate-words32le", "stats-raw", "stats-words32le", "mt-verify",
+        "mt-scan", "mt-scan-out"])
+def test_array_commands_answer_alike_in_a_fresh_interpreter(tmp_path, capsys,
+                                                            argv):
+    # they import numpy on first use, and print and write the same either way
+    bits = generate_bits(validate_triple(0, 1, -1), 4096)[0]
+    (tmp_path / "bits.raw").write_bytes(bits.to_bytes())
+    write_words_le(tmp_path / "bits.words", bits.pack_words())
+    outcomes = []
+    for side in ("fresh", "in-process"):
+        out_dir = tmp_path / side
+        out_dir.mkdir()
+        args = [a.format(src=tmp_path, out=out_dir) for a in argv]
+        if side == "fresh":
+            out = run_fresh_python("import sys\n"
+                                   "from cubicorbit.cli import main\n"
+                                   "print(main(sys.argv[1:]))\n", *args)
+        else:
+            code = main(args)
+            out = capsys.readouterr().out + f"{code}\n"
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        outcomes.append((out, files))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0].splitlines()[-1] in ("0", "1")
+
+
+class TestVersion:
+    @staticmethod
+    def version(capsys):
+        cli._parser.cache_clear()  # the version line is set when it is built
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+        finally:
+            cli._parser.cache_clear()
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_names_the_int_backend(self, capsys, monkeypatch):
+        monkeypatch.setattr(orbit, "mpz", int)
+        assert self.version(capsys) == "0.1.0 (int)\n"
+
+    def test_names_the_gmpy2_backend(self, capsys, monkeypatch):
+        class mpz(int):  # stands in for gmpy2.mpz
+            pass
+        monkeypatch.setattr(orbit, "mpz", mpz)
+        assert self.version(capsys) == "0.1.0 (gmpy2.mpz)\n"

@@ -3,9 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from cubicorbit import gf2
+from cubicorbit import gf2, load_recurrence_matrices
 from cubicorbit.gf2 import Gf2Matrix32, solve_linear_system
-from conftest import gf2_mul, parity
+from conftest import gf2_mul, numpy_transpose, parity
 
 
 def random_matrix(rng: random.Random) -> Gf2Matrix32:
@@ -82,10 +82,51 @@ class TestMatrix:
         assert Gf2Matrix32.from_columns(t.rows) == m
 
     def test_from_columns_checks_its_columns(self):
-        with pytest.raises(ValueError):
-            Gf2Matrix32.from_columns([1 << 32] + [0] * 31)
-        with pytest.raises(ValueError):
-            Gf2Matrix32.from_columns([0] * 31)
+        # a column of 33 bits, a negative one, a float one, and 31 columns
+        for columns in ([1 << 32] + [0] * 31, [0] * 31 + [-1],
+                        [0] * 5 + [1.0] + [0] * 26, [0] * 31):
+            with pytest.raises(ValueError):
+                Gf2Matrix32.from_columns(columns)
+
+
+def transpose_cases():
+    """Random, identity, all-ones and every single-bit 32x32 matrix."""
+    rng = random.Random(7)
+    yield from ([rng.getrandbits(32) for _ in range(32)] for _ in range(50))
+    yield [1 << (31 - i) for i in range(32)]
+    yield [0xFFFFFFFF] * 32
+    for i in range(32):
+        for j in range(32):
+            yield [1 << (31 - j) if k == i else 0 for k in range(32)]
+
+
+class TestTranspose:
+    def test_matches_the_numpy_transpose(self):
+        for words in transpose_cases():
+            assert gf2._transpose(words) == numpy_transpose(words)
+
+    def test_is_its_own_inverse(self):
+        for words in transpose_cases():
+            assert gf2._transpose(gf2._transpose(words)) == words
+
+    def test_takes_numpy_words(self):
+        words = [random.Random(8).getrandbits(32) for _ in range(32)]
+        assert gf2._transpose(np.array(words, dtype=np.uint32)) == \
+            numpy_transpose(words)
+
+    def test_recurrence_matrices_are_pinned(self):
+        a, b = load_recurrence_matrices()
+        assert a.rows == (
+            0x30560C85, 0x22450881, 0x66440981, 0x00044801, 0xB34428C1,
+            0xA3D70AA5, 0x668C18B1, 0x22240808, 0x23460881, 0x00880002,
+            0x02408080, 0x20604800, 0x09032204, 0x220C0891, 0x02400081,
+            0x22560885, 0x22450881, 0x26448981, 0x32524C04, 0x81012040,
+            0x26C419A1, 0x02004890, 0xA3442CC1, 0x89830020, 0x628419B3,
+            0x02640008, 0x224608C1, 0x00080022, 0x20448811, 0x20404808,
+            0x09132200, 0x00400012)
+        # B has rank one: row 2 repeated at rows 6, 13, 20, 24 and 31
+        assert b.rows == tuple(0x89130204 if i in (2, 6, 13, 20, 24, 31) else 0
+                               for i in range(1, 33))
 
 
 class TestSolver:

@@ -362,6 +362,18 @@ class TestChunkTables:
                              capture_output=True, text=True).stdout
         assert out.split() == ["0", "0"]
 
+    def test_byte_tables_built_on_first_use_not_at_import(self):
+        # neither the byte tables nor numpy are loaded until a test runs
+        code = ("import sys, cubicorbit.cli, cubicorbit.stats as s\n"
+                "print(s._byte_tables.cache_info().currsize, "
+                "'numpy' in sys.modules)\n"
+                "s.longest_run(s.BitStream((1 << 1000) // 3, 1000))\n"
+                "print(s._byte_tables.cache_info().currsize, "
+                "'numpy' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["0", "False", "1", "True"]
+
 
 class TestKernelsAgainstLoops:
     def test_longest_run(self):
@@ -405,8 +417,9 @@ class TestKernelsAgainstLoops:
 
     def test_top_bits_table(self):
         want = [sum(1 << (63 - i) for i in range(r)) for r in range(64)]
-        assert stats._TOP_BITS64.dtype == np.uint64
-        assert stats._TOP_BITS64.tolist() == want
+        top_bits64 = stats._byte_tables().top_bits64
+        assert top_bits64.dtype == np.uint64
+        assert top_bits64.tolist() == want
 
     def test_cumulative_sums(self):
         for bits in kernel_inputs():
