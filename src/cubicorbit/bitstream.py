@@ -242,15 +242,24 @@ def write_bits(path, streams: Iterable[BitStream], fmt: OutputFormat,
             fh.write(b'"}')
 
 
+def read_text(path, what: str) -> str:
+    """The file's text; a file that is not UTF-8 names itself and `what`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path} as {what}: it is not UTF-8 "
+                         f"text ({exc})") from None
+
+
 def read_bits(path, fmt: OutputFormat) -> BitStream:
     if fmt is OutputFormat.RAW_PACKED_BITS:
         return BitStream.from_bytes(Path(path).read_bytes())
     if fmt is OutputFormat.ASCII_BITS:
-        return BitStream.from01(Path(path).read_text())
+        return BitStream.from01(read_text(path, "--format ascii"))
     if fmt is OutputFormat.WORDS32_LE:
         return BitStream.from_words(read_words_le(path))
     if fmt is OutputFormat.JSON:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(read_text(path, "--format json"))
         if not isinstance(doc, dict) or not isinstance(doc.get("bits"), str):
             raise ValueError(f"{path} is not a JSON object with string bits")
         s = BitStream.from01(doc["bits"])

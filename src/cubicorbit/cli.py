@@ -34,8 +34,8 @@ from typing import Optional, Sequence
 
 from . import __version__, orbit
 from .bitstream import (BitStream, OutputFormat, check_whole_units, read_bits,
-                        read_words_le, replace_on_success, write_bits,
-                        write_words_le)
+                        read_text, read_words_le, replace_on_success,
+                        write_bits, write_words_le)
 from .mt19937 import (MT19937, DEFAULT_SEED, N, RankDeficient, lag_pairs_csv,
                       load_recurrence_matrices, recover_matrices,
                       scan_conditions_ab, verify_recurrence)
@@ -165,7 +165,8 @@ def cmd_generate(args) -> int:
         else:
             if args.resume:
                 _reject_given(args, "generate: --resume does not take", "bcd")
-                origin = OrbitState.from_text(Path(args.resume).read_text())
+                origin = OrbitState.from_text(
+                    read_text(args.resume, "an orbit state (--resume)"))
             else:
                 origin = _triple_from_args(args)
             stream, final = generate_bits(origin, n_bits)

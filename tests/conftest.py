@@ -1,12 +1,14 @@
 import json
+import math
 import os
 import random
 
 import numpy as np
 import pytest
 
-from cubicorbit import (MergerAudit, MergerCollision, generate_bits, step,
-                        validate_triple)
+from cubicorbit import (BitStream, MergerAudit, MergerCollision,
+                        generate_bits, step, validate_triple)
+from cubicorbit.stats import _byte_tables, _cumsum, _walk_tables16
 
 # Full-scale acceptance (1e7-bit comparison run) is opt-in; the default
 # CI-scale run uses 1e6 bits with the same exactness assertions.
@@ -57,6 +59,83 @@ def numpy_transpose(words) -> list:
     bits = np.unpackbits(words.view(np.uint8)).reshape(32, 32)
     # bits[i, j] is bit j of word i, MSB first; read bits.T row by row
     return np.packbits(bits.T).view(">u4").astype(np.uint32).tolist()
+
+
+def whole_array_window_counts(s, m: int) -> np.ndarray:
+    """Reference for stats._window_counts: the 64-bit words at every byte,
+    and the (m+1)-bit windows of each even offset, in whole-stream arrays.
+
+    One bincount per offset gives the (m+1)-bit histogram, which folds both
+    ways into the m-bit counts; the last window counted alone and the
+    wrapping windows are added as in the kernel.
+    """
+    n, mask = len(s), (1 << m) - 1
+    wide = np.zeros(2 << m, dtype=np.int64)
+    if n > m:
+        buf = np.append(s.packed, np.zeros(7, dtype=np.uint8))
+        words = np.ndarray((n - m - 1) // 8 + 1, dtype=">u8", buffer=buf,
+                           strides=(1,)).astype(np.uint64)
+        for offset in range(0, min(8, n - m), 2):
+            k = (n - m - 1 - offset) // 8 + 1  # windows at this bit offset
+            win = (words[:k] >> np.uint64(63 - m - offset)) & np.uint64(
+                (2 << m) - 1)
+            wide += np.bincount(win.view(np.int64), minlength=2 << m)
+    counts = wide[0::2] + wide[1::2] + wide[:1 << m] + wide[1 << m:]
+    if n >= m and (n - m) % 2 == 0:
+        counts[s.value & mask] += 1
+    t = min(n, m - 1)
+    cycle, size = s.value, n
+    while size < m - 1:
+        cycle, size = (cycle << n) | s.value, size + n
+    ext = ((s.value & ((1 << t) - 1)) << (m - 1)) | (cycle >> (size - m + 1))
+    for i in range(t):
+        counts[(ext >> (t - 1 - i)) & mask] += 1
+    return counts
+
+
+def chunk_walk_extremes(s) -> tuple:
+    """Reference for stats._walk_extremes: (min, max) of the walk's partial
+    sums S_0..S_n, n >= 17, with the 16-bit walk tables read for every
+    chunk before bit n - 1 and the byte table of partial sums for the 1 to
+    16 bits left.
+    """
+    n = len(s)
+    whole = (n - 1) // 16
+    net, rise, fall = _walk_tables16()
+    head = s.packed[:2 * whole].view(">u2")
+    ends = _cumsum(np.take(net, head), n)
+    lo = min(0, int((ends - np.take(fall, head)).min()))
+    hi = max(0, int((ends + np.take(rise, head)).max()))
+    rest = _byte_tables().partial[s.packed[2 * whole:2 * whole + 2]]
+    rest[1:] += rest[0, -1]  # a second byte's sums start where the first's end
+    tail = ends[-1] + rest.ravel()[:n - 16 * whole]
+    return min(lo, int(tail.min())), max(hi, int(tail.max()))
+
+
+def e_binary_digits(n: int) -> BitStream:
+    """The first n binary digits of e, its integer part 10 included.
+
+    e = 1 + sum over k >= 1 of 1/k!, summed to the first K with K! > 2^(n+64)
+    by binary splitting: P/Q over (a, b] is P(a, m) Q(m, b) + P(m, b) over
+    Q(a, m) Q(m, b), with Q(a, b) = (a+1)...b. The terms left out add less
+    than 2^-(n+62), so 32 guard bits decide the floor unless all are ones.
+    """
+    def split(a: int, b: int) -> tuple:
+        if b - a == 1:
+            return 1, b
+        m = (a + b) // 2
+        p1, q1 = split(a, m)
+        p2, q2 = split(m, b)
+        return p1 * q2 + p2, q1 * q2
+
+    k, log2_factorial = 1, 0.0
+    while log2_factorial < n + 64:
+        k += 1
+        log2_factorial += math.log2(k)
+    p, q = split(0, k)
+    x = ((p + q) << (n - 2 + 32)) // q  # e = 10.1011... in binary
+    assert x & 0xFFFFFFFF != 0xFFFFFFFF, "guard bits too few to round"
+    return BitStream(x >> 32, n)
 
 
 def horner_shift(b, c, d, x, k):
@@ -156,6 +235,13 @@ def merger_audit_all_states(s, horizon: int) -> MergerAudit:
             seen[key] = (idx, k)
             checked += 1
     return MergerAudit(True, horizon, checked)
+
+
+@pytest.fixture(scope="session")
+def e_bits():
+    """The first 1,000,000 binary digits of e: NIST SP 800-22's worked
+    example sequence. Built once per session, in about 2 s."""
+    return e_binary_digits(1_000_000)
 
 
 @pytest.fixture(scope="session")

@@ -150,6 +150,21 @@ class TestGenerate:
         assert err == f"error: orbit state has an unknown or repeated field {key!r}\n"
         assert not out_file.exists() and not ck2.exists()
 
+    def test_resume_from_a_file_that_is_not_utf8_names_it(self, tmp_path,
+                                                           capsys, monkeypatch):
+        ck = tmp_path / "ck.txt"
+        ck.write_bytes(b"\xff" + OrbitState(validate_triple(0, 1, -1), 8)
+                       .to_text().encode())
+        monkeypatch.setattr(cli, "generate_bits", None)  # no work may start
+        out_file = tmp_path / "bits.txt"
+        code, out, err = run_cli(capsys, "generate", "--resume", str(ck),
+                                 "--bits", "8", "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read {ck} as an orbit state (--resume): "
+                       f"it is not UTF-8 text ('utf-8' codec can't decode byte "
+                       f"0xff in position 0: invalid start byte)\n")
+        assert not out_file.exists()
+
     def test_tampered_checkpoint_diverges_with_first_mismatch(self, tmp_path, capsys):
         ck = tmp_path / "state.txt"
         run_cli(capsys, "generate", "--b", "0", "--c", "1", "--d", "-1",
@@ -970,6 +985,17 @@ class TestStats:
         from_json = run_cli(capsys, "stats", "--in", str(doc), "--format", "json")
         assert from_json == from_raw
         assert len(json.loads(from_json[1])["reports"]) == 9
+
+    @pytest.mark.parametrize("fmt", ["ascii", "json"])
+    def test_file_that_is_not_utf8_names_itself(self, tmp_path, capsys, fmt):
+        path = tmp_path / "bits.txt"
+        path.write_bytes(b"\x8c" + b"01" * 600)
+        code, out, err = run_cli(capsys, "stats", "--in", str(path),
+                                 "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read {path} as --format {fmt}: it is "
+                       f"not UTF-8 text ('utf-8' codec can't decode byte 0x8c "
+                       f"in position 0: invalid start byte)\n")
 
     def test_json_file_with_a_wrong_length_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bits.json"

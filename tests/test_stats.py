@@ -15,7 +15,7 @@ from cubicorbit import (MT19937, BitStream, InputTooShort,
 from cubicorbit import stats
 from cubicorbit.stats import (_LONGEST_RUN_TABLES, _fold, _n_psi_sq,
                               _report, _window_counts)
-from conftest import de_bruijn
+from conftest import chunk_walk_extremes, de_bruijn, whole_array_window_counts
 
 # first 100 bits of the binary expansion of pi, a standard worked example
 PI_100 = ("11001001000011111101101010100010001000010110100011"
@@ -56,6 +56,31 @@ class TestWorkedExamples:
     def test_approximate_entropy(self):
         rep = approximate_entropy(BitStream.from01(PI_100), 2)
         assert rep.p_value == pytest.approx(0.235301, abs=1e-6)
+
+
+# the standard's P-values on the first 1,000,000 binary digits of e, to the
+# six digits it prints
+E_1E6_P_VALUES = {
+    "monobit": 0.953749, "block_frequency": 0.211072, "runs": 0.561917,
+    "longest_run": 0.718945, "serial_1": 0.843764, "serial_2": 0.561915,
+    "approximate_entropy": 0.700073, "cumulative_sums_forward": 0.669886,
+    "cumulative_sums_backward": 0.724265,
+}
+
+
+class TestWorkedExamplesOnE:
+    """NIST SP 800-22's worked examples on e: an anchor outside this repo."""
+
+    def test_digits_start_with_the_integer_part(self, e_bits):
+        assert len(e_bits) == 1_000_000
+        assert e_bits[:16].to01() == "1010110111111000"
+
+    def test_p_values(self, e_bits):
+        reports = [monobit(e_bits), block_frequency(e_bits, 128), runs(e_bits),
+                   longest_run(e_bits), *serial(e_bits, 2),
+                   approximate_entropy(e_bits, 10), *cumulative_sums(e_bits)]
+        got = {r.name: r.p_value for r in reports}
+        assert got == pytest.approx(E_1E6_P_VALUES, abs=1e-6)
 
 
 def brute_psi_sq(bits: list, m: int) -> float:
@@ -426,6 +451,100 @@ class TestKernelsAgainstLoops:
             fwd, bwd = cumulative_sums(BitStream.from_bits(bits))
             assert (fwd.statistic, bwd.statistic) == brute_excursions(
                 bits.tolist())
+
+
+def walk_sums(bits: np.ndarray) -> tuple:
+    """(min, max, S_n) of the partial sums S_0 = 0, S_1, ..., S_n."""
+    sums = np.cumsum(2 * bits.astype(np.int64) - 1)
+    return min(0, int(sums.min())), max(0, int(sums.max())), int(sums[-1])
+
+
+def walk_inputs():
+    """Random, constant and alternating streams at n < 64, n = 1000..1063
+    (every length mod 64) and multiples of 64; then alternating streams
+    with one climb and descent whose extreme lies inside a 64-bit word, on
+    a word's last bit, inside the 1 to 64 tail bits and at S_n; and one
+    whose extreme is exactly the bound e + 64 - k (or e - k) of a word with
+    k ones that ends at e, one step past the extremes of the word ends."""
+    rng = np.random.default_rng(64)
+    for n in (*range(1, 64), *range(1000, 1064), *range(64, 1025, 64)):
+        yield rng.integers(0, 2, size=n, dtype=np.uint8)
+        for bit in (0, 1):
+            yield np.full(n, bit, dtype=np.uint8)
+            yield ((np.arange(n) + bit) % 2).astype(np.uint8)
+    for n in range(1000, 1064):
+        tail = 64 * ((n - 1) // 64)  # where the bits after the whole words start
+        for bit in (0, 1):
+            for start, climb in ((3 * 64 + 8, 16), (5 * 64 + 40, 24),
+                                 (tail, (n - tail) // 2), (tail, n - tail)):
+                bits = ((np.arange(n) + 1) % 2).astype(np.uint8)
+                bits[start:start + climb] = bit
+                bits[start + climb:start + 2 * climb] = 1 - bit
+                yield bits
+            bits = ((np.arange(n) + 1) % 2).astype(np.uint8)
+            bits[2 * 64:3 * 64 + 1] = bit  # word 2, then word 3's first bit
+            bits[3 * 64 + 1:4 * 64] = 1 - bit
+            yield bits
+
+
+def piece_lengths(m: int) -> list:
+    """Stream lengths over several window pieces for m-bit windows: about
+    2.3e6 bits; two whole pieces and one byte more, whose last piece holds
+    no window at offsets 2, 4 and 6 (r = 0) or one at each offset (r = 7);
+    exactly two pieces."""
+    piece = 8 * stats._WINDOW_PIECE  # bits of window starts per piece
+    return [2_300_000 + m, *(m + 1 + 2 * piece + r for r in (0, 7)),
+            m + 1 + 2 * piece - 8]
+
+
+class TestWordWalkAndWindowPieces:
+    def test_walk_extremes_against_chunk_tables(self):
+        for bits in walk_inputs():
+            s = BitStream.from_bits(bits)
+            got = stats._walk_extremes(s)
+            assert got == walk_sums(bits), bits.size
+            if bits.size >= 17:  # the chunk reference needs a whole chunk
+                assert got[:2] == chunk_walk_extremes(s), bits.size
+
+    def test_walk_extremes_over_many_words(self):
+        # random walks read few words through the tables; a drift and a
+        # long alternating stretch read many
+        rng = np.random.default_rng(7)
+        for n in piece_lengths(16):
+            p = np.array([0.5, 0.52, 0.5, 0.48])[np.arange(n) * 4 // n]
+            for bits in ((rng.random(n) < p).astype(np.uint8),
+                         (np.arange(n) % 2).astype(np.uint8)):
+                s = BitStream.from_bits(bits)
+                got = stats._walk_extremes(s)
+                assert got == walk_sums(bits), n
+                assert got[:2] == chunk_walk_extremes(s), n
+
+    @pytest.mark.parametrize("m", [2, 3, 11, 16, 17])
+    def test_window_counts_across_pieces(self, m):
+        # the windows at a piece's last bytes read on into the next piece's
+        rng = np.random.default_rng(m)
+        for n in piece_lengths(m):
+            s = BitStream.from_bits(rng.integers(0, 2, size=n, dtype=np.uint8))
+            assert np.array_equal(_window_counts(s, m),
+                                  whole_array_window_counts(s, m)), n
+
+    def test_window_counts_at_short_lengths(self):
+        rng = np.random.default_rng(1063)
+        for n in (*range(1, 64), *range(1000, 1064), *range(64, 1025, 64)):
+            s = BitStream.from_bits(rng.integers(0, 2, size=n, dtype=np.uint8))
+            for m in (1, 3, 10, 16):
+                assert np.array_equal(_window_counts(s, m),
+                                      whole_array_window_counts(s, m)), (n, m)
+
+    @pytest.mark.parametrize("n", [100, 1000, 1001, 1024])
+    @pytest.mark.parametrize("head", ["00", "01", "10", "11"])
+    def test_runs_with_the_first_bit_0_and_1(self, n, head):
+        # the first bit is the top bit of the stream's value
+        bits = np.random.default_rng(n).integers(0, 2, size=n, dtype=np.uint8)
+        bits[:2] = [int(c) for c in head]
+        raw = bits.tolist()
+        assert runs(BitStream.from_bits(bits)).statistic == \
+            1 + sum(a != b for a, b in zip(raw, raw[1:]))
 
 
 class TestRunSuite:
