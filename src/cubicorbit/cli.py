@@ -155,7 +155,13 @@ def cmd_generate(args) -> int:
         raise ValueError(f"generate: --format {exc}") from None
     if n_jobs > 1:  # only a pool needs multiprocessing: import it here
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(n_jobs) if n_jobs > 1 else nullcontext() as pool:
+    # the checkpoint's temp file is made before the work, so a path that
+    # cannot be written fails first; it takes the checkpoint's place only
+    # after the output, so it never claims unwritten bits (not in --seed-set)
+    ck_file = (replace_on_success(args.checkpoint) if args.checkpoint
+               else nullcontext())
+    with ck_file as checkpoint, (ProcessPoolExecutor(n_jobs) if n_jobs > 1
+                                 else nullcontext()) as pool:
         if args.seed_set:
             # members are CoeffTriples already validated by build_seed_set
             jobs = [(m, per_seed, drop) for m in fam.members]
@@ -176,10 +182,8 @@ def cmd_generate(args) -> int:
             sys.stdout.write("\n")
         else:
             write_bits(out_path, streams, fmt, n_bits)
-    # after the output, so it never claims unwritten bits (not in --seed-set)
-    if args.checkpoint:
-        with replace_on_success(args.checkpoint) as fh:
-            fh.write(final.to_text().encode())
+        if checkpoint:
+            checkpoint.write(final.to_text().encode())
     return EXIT_OK
 
 

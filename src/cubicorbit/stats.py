@@ -19,23 +19,23 @@ over many runs, SP 800-22 section 4.2) are not implemented yet. Every
 function is pure, so callers may fan tests out over a shared sequence
 freely.
 
-Every kernel reads the stream packed, never one byte per bit: popcounts
-of its integer `value` for monobit and runs, popcounts of its big-endian
-64-bit words (from `BitStream.packed`) and a prefix sum over them for
-block frequency and cumulative sums, and tables over its big-endian
-16-bit chunks for longest run. Cumulative sums takes the walk's sums at
-the word ends from those popcounts, and reads the 16-bit walk tables
-only for the few words inside which the walk may pass the extremes of
-those sums. The byte tables, and the 65536-entry tables built from them,
-are built on first use, not at import. The pattern tests (serial,
-approximate entropy) count the cyclic overlapping m-bit windows two at a
-time: one histogram of the (m+1)-bit windows at the even bit offsets of
-the 64-bit word read at each byte gives the m-bit windows at both that
-offset and the next. The words and windows are built and counted in
-fixed pieces that stay in cache, not in whole-stream arrays. That
-histogram folds to the shorter pattern lengths. Each public test builds
-the histogram of the sequence it is given; run_suite builds one at the
-serial length and passes it to both tests' private kernels.
+Every kernel reads the stream packed: popcounts of its integer `value`
+for monobit and runs, popcounts of its big-endian 64-bit words (from
+`BitStream.packed`) and a prefix sum over them for block frequency and
+cumulative sums, and one set of run tables over its big-endian 16-bit
+chunks for longest run, built on first use, not at import. Cumulative
+sums takes the walk's sums at the word ends from those popcounts, and
+unpacks to one byte per bit only the last 1 to 64 bits and the few words
+inside which the walk may pass the extremes of those sums. The pattern
+tests (serial, approximate entropy) count the cyclic overlapping m-bit
+windows two at a time: one histogram of the (m+1)-bit windows at the
+even bit offsets of the 64-bit word read at each byte gives the m-bit
+windows at both that offset and the next. The words and windows are
+built and counted in fixed pieces that stay in cache, not in
+whole-stream arrays. That histogram folds to the shorter pattern
+lengths. Each public test builds the histogram of the sequence it is
+given; run_suite builds one at the serial length and passes it to both
+tests' private kernels.
 
 A pattern statistic that is exactly 0 is reported as 0 with P-value 1:
 serial's differences are decided on integers, approximate entropy's by
@@ -49,7 +49,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field
 from functools import cache, reduce
-from typing import TYPE_CHECKING, Dict, List, NamedTuple
+from typing import TYPE_CHECKING, Dict, List
 
 from .bitstream import BitStream
 
@@ -98,76 +98,27 @@ def _cumsum(x: np.ndarray, n: int) -> np.ndarray:
     return np.cumsum(x, dtype=np.int32 if n < 1 << 31 else np.int64)
 
 
-class _ByteTables(NamedTuple):
-    """The per-byte tables, indexed by the byte, its bits read MSB first."""
-
-    # the ones among a 64-bit word's top r bits are those of w & top_bits64[r]
-    # (the one table indexed by r, not by a byte)
-    top_bits64: np.ndarray
-    # runs of ones: leading, trailing, and the longest anywhere in the byte
-    lead: np.ndarray
-    trail: np.ndarray
-    inner: np.ndarray
-    # the +1/-1 walk: its partial sums after each bit of the byte, its net
-    # step, and how far it rises above and falls below its end inside the byte
-    partial: np.ndarray
-    net: np.ndarray
-    rise: np.ndarray
-    fall: np.ndarray
-
-
 @cache
-def _byte_tables() -> _ByteTables:
-    """The per-byte tables, built on first use and read-only."""
+def _run_tables16() -> tuple:
+    """(LEAD16, TRAIL16, INNER16): the leading, trailing and longest run of
+    ones in each 16-bit chunk, its bits read MSB first. Built on first use,
+    read-only, from the same three runs of each byte.
+    """
     import numpy as np
     bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
     last_zero = np.maximum.accumulate(np.where(bits, -1, np.arange(8)), axis=1)
-    partial = np.cumsum(2 * bits.astype(np.int8) - 1, axis=1, dtype=np.int8)
-    net = partial[:, -1]
-    tables = _ByteTables(
-        top_bits64=~(np.uint64(2**64 - 1) >> np.arange(64, dtype=np.uint64)),
-        lead=bits.cumprod(axis=1).sum(axis=1).astype(np.uint8),
-        trail=bits[:, ::-1].cumprod(axis=1).sum(axis=1).astype(np.uint8),
-        inner=(np.arange(8) - last_zero).max(axis=1).astype(np.uint8),
-        partial=partial, net=net,
-        rise=partial.max(axis=1) - net, fall=net - partial.min(axis=1))
+    lead = bits.cumprod(axis=1).sum(axis=1).astype(np.uint8)
+    trail = bits[:, ::-1].cumprod(axis=1).sum(axis=1).astype(np.uint8)
+    inner = (np.arange(8) - last_zero).max(axis=1).astype(np.uint8)
+    # axis 0 (hi) is the chunk's high byte, axis 1 (lo) its low byte
+    hi, lo = np.ogrid[:256, :256]
+    tables = (np.where(hi == 0xFF, 8 + lead[lo], lead[hi]).ravel(),
+              np.where(lo == 0xFF, 8 + trail[hi], trail[lo]).ravel(),
+              np.maximum(np.maximum(inner[hi], inner[lo]),
+                         trail[hi] + lead[lo]).ravel())
     for t in tables:
         t.flags.writeable = False
     return tables
-
-
-def _flat_read_only(*tables: np.ndarray) -> tuple:
-    """The tables raveled and read-only: every caller shares the cached ones."""
-    flat = tuple(t.ravel() for t in tables)
-    for t in flat:
-        t.flags.writeable = False
-    return flat
-
-
-# the same quantities for 16-bit chunks, two bytes read big-endian, built
-# from the byte tables on first use: axis 0 of each outer operation (hi)
-# is the chunk's high byte, axis 1 (lo) its low byte
-@cache
-def _run_tables16() -> tuple:
-    """(LEAD16, TRAIL16, INNER16), indexed by the 16-bit chunk."""
-    import numpy as np
-    t, (hi, lo) = _byte_tables(), np.ogrid[:256, :256]
-    lead = np.where(hi == 0xFF, 8 + t.lead[lo], t.lead[hi])
-    trail = np.where(lo == 0xFF, 8 + t.trail[hi], t.trail[lo])
-    inner = np.maximum(np.maximum(t.inner[hi], t.inner[lo]),
-                       t.trail[hi] + t.lead[lo])
-    return _flat_read_only(lead, trail, inner)
-
-
-@cache
-def _walk_tables16() -> tuple:
-    """(NET16, RISE16, FALL16), indexed by the 16-bit chunk."""
-    import numpy as np
-    t, (hi, lo) = _byte_tables(), np.ogrid[:256, :256]
-    net = t.net[hi] + t.net[lo]
-    rise = np.maximum(t.rise[hi] - t.net[lo], t.rise[lo])
-    fall = np.maximum(t.fall[hi] + t.net[lo], t.fall[lo])
-    return _flat_read_only(net, rise, fall)
 
 
 def monobit(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
@@ -201,8 +152,10 @@ def block_frequency(s, m: int = 128, alpha: float = DEFAULT_ALPHA) -> TestReport
     ones = np.bitwise_count(words)
     through = _cumsum(ones, len(s))
     word, r = np.divmod(np.arange(n_blocks + 1, dtype=np.int64) * m, 64)
-    before = through[word] - ones[word] + np.bitwise_count(
-        words[word] & _byte_tables().top_bits64[r])
+    top = r.astype(np.uint64)  # becomes the mask of the top r bits, in place
+    np.invert(np.right_shift(np.uint64(2**64 - 1), top, out=top), out=top)
+    top &= words[word]
+    before = through[word] - ones[word] + np.bitwise_count(top)
     pi = np.diff(before) / m
     chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
     p = gammaincc(n_blocks / 2.0, chi2 / 2.0)
@@ -248,12 +201,10 @@ def longest_run(s, alpha: float = DEFAULT_ALPHA) -> TestReport:
     blocks = s.packed[: n_blocks * width].reshape(n_blocks, width)
     # a block's longest run lies inside one chunk or across two neighbours;
     # one across three or more holds an all-ones chunk, whose inner run is
-    # 16 >= hi, so the clip below makes this exact
-    if m == 8:
-        t = _byte_tables()
-        chunks, (lead, trail, inner) = blocks, (t.lead, t.trail, t.inner)
-    else:
-        chunks, (lead, trail, inner) = blocks.view(">u2"), _run_tables16()
+    # 16 >= hi, so the clip below makes this exact. At m = 8 a block is one
+    # chunk 0x00b, whose runs are those of its byte b
+    chunks = blocks if m == 8 else blocks.view(">u2")
+    lead, trail, inner = _run_tables16()
     across = np.take(trail, chunks[:, :-1]) + np.take(lead, chunks[:, 1:])
     longest = np.maximum(np.take(inner, chunks).max(axis=1),
                          across.max(axis=1, initial=0))
@@ -389,30 +340,32 @@ def _walk_extremes(s: BitStream) -> tuple:
     The whole big-endian 64-bit words before bit n - 1 give the sums at
     their ends from their popcounts. Inside a word with k ones that ends at
     sum e, the walk stays within [e - k, e + 64 - k]: all its zeros first,
-    or all its ones. So only the words whose bound passes the extremes of
-    the word ends and the tail are read, through the 16-bit walk tables.
-    The 1 to 64 bits left go through the byte table of partial sums.
+    or all its ones. So besides the 1 to 64 bits left, only the words whose
+    bound passes the extremes of the word ends and of those bits are walked
+    bit by bit.
     """
     import numpy as np
+
+    def walk(rows: np.ndarray, start: np.ndarray) -> np.ndarray:
+        # the sums after each bit of each row of packed bytes, from its start
+        steps = 2 * np.unpackbits(rows, axis=1).astype(np.int64) - 1
+        steps[:, 0] += start
+        return np.cumsum(steps, axis=1)
+
     n = len(s)
     whole = (n - 1) // 64
     head = s.packed[:8 * whole]
     ones = np.bitwise_count(head.view(np.uint64))  # byte order keeps popcounts
     steps = 2 * ones.astype(np.int16) - 64
     ends = _cumsum(steps, n)
-    rest = _byte_tables().partial[s.packed[8 * whole:]].astype(ends.dtype)
-    rest[1:] += np.cumsum(rest[:-1, -1])[:, None]  # from the byte before's end
-    tail = rest.ravel()[:n - 64 * whole] + (ends[-1] if whole else 0)
+    tail = walk(s.packed[None, 8 * whole:], ends[-1] if whole else 0)[
+        0, :n - 64 * whole]
     lo = min(int(ends.min(initial=0)), int(tail.min()))
     hi = max(int(ends.max(initial=0)), int(tail.max()))
     near = np.flatnonzero((ends + (64 - ones) > hi) | (ends - ones < lo))
     if near.size:
-        net, rise, fall = _walk_tables16()
-        chunks = head.view(">u2").reshape(whole, 4)[near]
-        inside = (ends[near] - steps[near])[:, None] + np.cumsum(
-            np.take(net, chunks), axis=1)
-        lo = min(lo, int((inside - np.take(fall, chunks)).min()))
-        hi = max(hi, int((inside + np.take(rise, chunks)).max()))
+        inside = walk(head.reshape(whole, 8)[near], ends[near] - steps[near])
+        lo, hi = min(lo, int(inside.min())), max(hi, int(inside.max()))
     return lo, hi, int(tail[-1])
 
 

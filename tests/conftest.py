@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import pytest
 
 from cubicorbit import (BitStream, MergerAudit, MergerCollision,
                         generate_bits, step, validate_triple)
-from cubicorbit.stats import _byte_tables, _cumsum, _walk_tables16
+from cubicorbit.stats import _cumsum
 
 # Full-scale acceptance (1e7-bit comparison run) is opt-in; the default
 # CI-scale run uses 1e6 bits with the same exactness assertions.
@@ -93,22 +94,32 @@ def whole_array_window_counts(s, m: int) -> np.ndarray:
     return counts
 
 
+@functools.cache
+def chunk_walk_tables() -> tuple:
+    """(NET16, RISE16, FALL16, WALK16) of every 16-bit chunk, its bits read
+    MSB first: the +1/-1 walk's net step, how far it rises above and falls
+    below its end inside the chunk, and its sums after each bit."""
+    bits = (np.arange(1 << 16)[:, None] >> np.arange(15, -1, -1)) & 1
+    walk = np.cumsum(2 * bits - 1, axis=1)
+    net = walk[:, -1]
+    return net, walk.max(axis=1) - net, net - walk.min(axis=1), walk
+
+
 def chunk_walk_extremes(s) -> tuple:
     """Reference for stats._walk_extremes: (min, max) of the walk's partial
     sums S_0..S_n, n >= 17, with the 16-bit walk tables read for every
-    chunk before bit n - 1 and the byte table of partial sums for the 1 to
-    16 bits left.
+    chunk before bit n - 1 and the walk of the chunk holding the 1 to 16
+    bits left.
     """
     n = len(s)
     whole = (n - 1) // 16
-    net, rise, fall = _walk_tables16()
+    net, rise, fall, walk = chunk_walk_tables()
     head = s.packed[:2 * whole].view(">u2")
     ends = _cumsum(np.take(net, head), n)
     lo = min(0, int((ends - np.take(fall, head)).min()))
     hi = max(0, int((ends + np.take(rise, head)).max()))
-    rest = _byte_tables().partial[s.packed[2 * whole:2 * whole + 2]]
-    rest[1:] += rest[0, -1]  # a second byte's sums start where the first's end
-    tail = ends[-1] + rest.ravel()[:n - 16 * whole]
+    last = int.from_bytes(s.packed[2 * whole:].tobytes().ljust(2, b"\0"), "big")
+    tail = ends[-1] + walk[last, :n - 16 * whole]
     return min(lo, int(tail.min())), max(hi, int(tail.max()))
 
 

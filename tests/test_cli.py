@@ -454,6 +454,21 @@ class TestGenerate:
         assert repr(str(tmp_path / "missing" / "x.raw")) in err  # not a temp file
         assert not ck.exists()
 
+    def test_checkpoint_directory_missing_fails_before_the_output(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate_bits", None)  # no work may start
+        out_file, ck = tmp_path / "ok.raw", tmp_path / "missing" / "ck.txt"
+        out_file.write_bytes(b"from before")
+        code, out, err = run_cli(capsys, "generate", "--b", "0", "--c", "1",
+                                 "--d", "-1", "--bits", "64", "--checkpoint",
+                                 str(ck), "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(ck)) in err  # not a temp file
+        assert out_file.read_bytes() == b"from before"
+        assert [p.name for p in tmp_path.iterdir()] == ["ok.raw"]
+
     @pytest.mark.parametrize("given, named", [
         (["--jobs", "4"], "--jobs"),
         (["--drop-prefix-bits", "0"], "--drop-prefix-bits"),

@@ -354,46 +354,53 @@ def assert_longest_run_matches_loop(bits: np.ndarray) -> None:
 
 
 def brute_chunk_tables() -> dict:
-    """Run and walk quantities of every 16-bit chunk, MSB first, by a loop
-    over its bits."""
+    """Runs of ones in every 16-bit chunk, MSB first, by a loop over its
+    bits."""
     bits = (np.arange(1 << 16)[:, None] >> np.arange(15, -1, -1)) & 1
-    run = inner = walk = np.zeros(1 << 16, dtype=np.int64)
-    peak, trough = walk - 16, walk + 16
+    run = inner = np.zeros(1 << 16, dtype=np.int64)
     for column in bits.T:
         run = (run + 1) * column
         inner = np.maximum(inner, run)
-        walk = walk + 2 * column - 1
-        peak, trough = np.maximum(peak, walk), np.minimum(trough, walk)
     lead = np.where(bits.all(axis=1), 16, bits.argmin(axis=1))
-    return {"lead": lead, "trail": run, "inner": inner,
-            "net": walk, "rise": peak - walk, "fall": walk - trough}
+    return {"lead": lead, "trail": run, "inner": inner}
 
 
 class TestChunkTables:
     def test_against_bit_loops(self):
         want = brute_chunk_tables()
-        tables = stats._run_tables16() + stats._walk_tables16()
+        tables = stats._run_tables16()
         for name, table in zip(want, tables):
             assert table.shape == (1 << 16,), name
             assert not table.flags.writeable, name
             assert np.array_equal(table, want[name]), name
-        assert sum(t.nbytes for t in tables) < 512 * 1024
+        assert sum(t.nbytes for t in tables) <= 3 << 16
+
+    def test_byte_has_its_run_in_the_low_half_of_a_chunk(self):
+        # longest_run reads each byte b of an 8-bit block as the chunk 0x00b
+        inner = stats._run_tables16()[2]
+        for b in range(256):
+            want = max(len(run) for run in f"{b:08b}".split("0"))
+            assert inner[b] == want, b
 
     def test_built_on_first_use_not_at_import(self):
-        code = ("import cubicorbit.cli, cubicorbit.stats as s; "
-                "print(s._run_tables16.cache_info().currsize, "
-                "s._walk_tables16.cache_info().currsize)")
+        # only longest_run reads a table: the other tests build none
+        code = ("import cubicorbit.cli, cubicorbit.stats as s\n"
+                "x = s.BitStream((1 << 1000) // 3, 1000)\n"
+                "s.monobit(x), s.block_frequency(x), s.runs(x), "
+                "s.cumulative_sums(x), s.serial(x, 2), "
+                "s.approximate_entropy(x, 2)\n"
+                "print(s._run_tables16.cache_info().currsize)\n")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
-        assert out.split() == ["0", "0"]
+        assert out.split() == ["0"]
 
     def test_byte_tables_built_on_first_use_not_at_import(self):
-        # neither the byte tables nor numpy are loaded until a test runs
+        # neither the run tables nor numpy are loaded until a test runs
         code = ("import sys, cubicorbit.cli, cubicorbit.stats as s\n"
-                "print(s._byte_tables.cache_info().currsize, "
+                "print(s._run_tables16.cache_info().currsize, "
                 "'numpy' in sys.modules)\n"
                 "s.longest_run(s.BitStream((1 << 1000) // 3, 1000))\n"
-                "print(s._byte_tables.cache_info().currsize, "
+                "print(s._run_tables16.cache_info().currsize, "
                 "'numpy' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
@@ -439,12 +446,6 @@ class TestKernelsAgainstLoops:
             assert rep.parameters["blocks"] == n // m
             assert rep.statistic == pytest.approx(
                 brute_block_frequency(bits.tolist(), m), rel=1e-12, abs=1e-12)
-
-    def test_top_bits_table(self):
-        want = [sum(1 << (63 - i) for i in range(r)) for r in range(64)]
-        top_bits64 = stats._byte_tables().top_bits64
-        assert top_bits64.dtype == np.uint64
-        assert top_bits64.tolist() == want
 
     def test_cumulative_sums(self):
         for bits in kernel_inputs():
