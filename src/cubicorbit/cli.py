@@ -269,6 +269,9 @@ def cmd_mt(args) -> int:
         if not args.infile:
             raise ValueError("mt scan: --source file requires --in")
         words = read_words_le(args.infile)
+        if words.size < N + 1:
+            raise ValueError(f"mt scan: {args.infile} holds {words.size} "
+                             f"32-bit words; the scan needs at least {N + 1}")
     elif args.mt_cmd == "scan" and args.infile:
         raise ValueError("mt scan: --in needs --source file")
     else:

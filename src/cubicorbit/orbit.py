@@ -30,13 +30,14 @@ holds on every shift, as b'^2 - 3c' = 4^n (b^2 - 3c), so building it,
 shifted(t, m, n), certifies all n bits at once: the one certificate
 check. jump() finds m by integer Newton steps with precision doubling,
 certifying every step that way, at one square, two products and one
-exact quotient per doubling against O(n^2) for n single steps; above
-_NEWTON_BITS the quotient comes from a Newton reciprocal and one
-remainder product (_quotient), not from schoolbook `//`. Condition (i)
-is read off the top 64 bits of b (_square_exceeds), so the certificate
-takes no full square of a wide b. step() is the one-bit reference the
-tests compare jump() with; seeds.merger_audit confirms collisions with
-it and walks chains back with inverse_step().
+quotient per doubling against O(n^2) for n single steps. The quotient
+need not be exact, as the certificate corrects it by one: above
+_NEWTON_BITS it is a product with a Newton reciprocal (_reciprocal), not
+a schoolbook `//`, except under gmpy2, which divides in subquadratic
+time. Condition (i) is read off the top 64 bits of b (_square_exceeds),
+so the certificate takes no full square of a wide b. step() is the
+one-bit reference the tests compare jump() with; seeds.merger_audit
+confirms collisions with it and walks chains back with inverse_step().
 
 The root oracle, isolate_root_bits() and refine_to_resolution(), returns
 that m: alpha lies in [m / 2^k, (m+1) / 2^k]. Both re-check m with
@@ -247,11 +248,10 @@ def shifted(t: CoeffTriple, m: int, n: int) -> CoeffTriple:
 # Each Newton estimate is off by at most one; more means corrupt input.
 _MAX_CORRECTIONS = 2
 
-# Divisor and quotient width above which _quotient divides by Newton's
-# method: `//` is schoolbook, and at about 44000 bits a 2L-by-L division
-# took as long either way on CPython 3.11. A jump of n bits from small
-# coefficients divides by at most about n/2 bits, so below 2^17 bits it
-# stays on `//`.
+# Quotient width above which jump() divides by Newton's method: `//` is
+# schoolbook, and at about 44000 bits a 2L-by-L division took as long
+# either way on CPython 3.11. A jump of n bits from small coefficients
+# divides by at most about n/2 bits, so below 2^17 bits it stays on `//`.
 _NEWTON_BITS = 1 << 16
 
 
@@ -277,35 +277,6 @@ def _reciprocal(d: int) -> int:
     return (rh << (L - h)) + ((rh * (e >> (L - 4))) >> (h + 4))
 
 
-def _near_quotient(n: int, d: int) -> int:
-    """q with |q - n // d| <= 1, for n >= d > 0 and d of 17 bits or more.
-
-    With 2^(lq-1) <= n / d < 2^lq read off the bit lengths and p = lq +
-    16, the top p bits nt of n and dt of d give n / d within 2^-14 as
-    nt/dt * 2^(lq-1), and _reciprocal(dt) in place of 4^p / dt moves that
-    by less than 2^-16, so the floor is off by at most one.
-    """
-    L, t = d.bit_length(), n.bit_length()
-    lq = t - L + 1
-    p = lq + 16
-    dt = d >> (L - p) if L >= p else d << (p - L)
-    return ((n >> (t - p)) * _reciprocal(dt)) >> (2 * p + 1 - lq)
-
-
-def _quotient(n: int, d: int) -> int:
-    """n // d for n >= 0 and d > 0, by Newton's method when both d and the
-    quotient are wider than _NEWTON_BITS (two Karatsuba-size products and
-    a reciprocal, against a schoolbook `//`). The remainder product makes
-    it exact whatever the estimate; the estimate only sets the cost. gmpy2
-    already divides in subquadratic time, so mpz takes `//`.
-    """
-    lq = n.bit_length() - d.bit_length() + 1
-    if mpz is not int or min(d.bit_length(), lq) <= _NEWTON_BITS:
-        return n // d
-    q = _near_quotient(n, d)
-    return q + (n - q * d) // d
-
-
 def jump(t: CoeffTriple, n: int) -> Tuple[int, CoeffTriple]:
     """(m, shifted(t, m, n)) for m = floor(2^n * alpha): n steps at once.
 
@@ -322,11 +293,14 @@ def jump(t: CoeffTriple, n: int) -> Tuple[int, CoeffTriple]:
         # estimate of the next k bits within 1/2 before rounding down;
         # keeping only the top k + 8 bits of c and d adds less than 1/16.
         # On a small triple k is 1 and x, clamped to [0, 2^k) (it is never
-        # negative: -d, c > 0), is one bit off by at most one. The quotient
-        # is exact, by Newton's method above _NEWTON_BITS; below, `//` is
-        # taken inline, as the call would cost more than the division.
-        # Plain comparisons stand in for max() and min(): the doublings of
-        # a short jump cost more in calls than in arithmetic.
+        # negative: -d, c > 0), is one bit off by at most one. Above
+        # _NEWTON_BITS on int, x = num * r >> 2L with r = _reciprocal(den)
+        # and L = bitlen(den): r is within 2 of 4^L/den, so x is
+        # floor(num/den) or one less, as 2 num/4^L is below 2^-6 for s > 0
+        # (L = k + 8) and below 1/2 for s <= 0 (L >= k + 3). With the
+        # 1/2 + 1/16 above, x is still at most one off. Plain comparisons
+        # stand in for max() and min(): the doublings of a short jump cost
+        # more in calls than in arithmetic.
         lc = c.bit_length()
         k = lc - (b + 1 if b >= 0 else 1 - b).bit_length() - 2
         if k > left:
@@ -335,7 +309,10 @@ def jump(t: CoeffTriple, n: int) -> Tuple[int, CoeffTriple]:
             k = 1
         s = lc - k - 8
         num, den = ((-d >> s) << k, c >> s) if s > 0 else (-d << k, c)
-        x = num // den if k <= _NEWTON_BITS else _quotient(num, den)
+        if k <= _NEWTON_BITS or mpz is not int:
+            x = num // den
+        else:
+            x = (num * _reciprocal(den)) >> (2 * den.bit_length())
         if x >> k:
             x = (1 << k) - 1
         b, c, d = _shift(b, c, d, x, k)

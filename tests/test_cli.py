@@ -934,6 +934,19 @@ class TestMt:
         assert "8003 bytes" in err
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("count", [1, 624])
+    def test_scan_file_of_too_few_words_is_usage_error(self, tmp_path, capsys,
+                                                       count):
+        words_path = tmp_path / "w.bin"
+        assert main(["mt", "gen", "--count", str(count),
+                     "--out", str(words_path)]) == 0
+        code, out, err = run_cli(capsys, "mt", "scan", "--source", "file",
+                                 "--in", str(words_path))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: mt scan: {words_path} holds {count} 32-bit "
+                       "words; the scan needs at least 625\n")
+
 
 class TestStats:
     def test_words_file_with_partial_word_is_usage_error(self, tmp_path, capsys):

@@ -174,48 +174,34 @@ class TestShift:
 CUTOFF = orbit._NEWTON_BITS
 
 
-def _newton_calls(monkeypatch):
-    """A list that grows by one each time _quotient takes Newton's path."""
-    calls, real = [], orbit._near_quotient
+def _reciprocal_calls(monkeypatch):
+    """The divisor width of every _reciprocal call, its own recursion
+    included, with the jump on int: gmpy2 divides by `//` and makes none."""
+    monkeypatch.setattr(orbit, "mpz", int)
+    calls, real = [], orbit._reciprocal
 
-    def counted(n, d):
+    def counted(d):
         calls.append(d.bit_length())
-        return real(n, d)
-    monkeypatch.setattr(orbit, "_near_quotient", counted)
+        return real(d)
+    monkeypatch.setattr(orbit, "_reciprocal", counted)
     return calls
 
 
+def _jumps_across_256(resumed):
+    """Jumps whose last doublings, with the cutoff at 256 bits, divide by
+    Newton's method, several levels deep; the resumed triple's first too."""
+    return ((validate_triple(0, 1, -1), 3000),
+            (validate_triple(-5, 9, -3), 1100), (resumed, 1500))
+
+
+CORRUPTIONS = {"r-1": lambda r: r - 1, "r-2": lambda r: r - 2,
+               "r+1": lambda r: r + 1, "r//2": lambda r: r // 2,
+               "0": lambda r: 0}
+
+
 class TestQuotient:
-    """_quotient against `//`, and its Newton pieces against their bounds."""
-
-    def test_matches_floor_division_on_random_inputs(self, monkeypatch):
-        calls = _newton_calls(monkeypatch)
-        rng = random.Random(0x21)
-        for _ in range(40):
-            d = rng.getrandbits(rng.randint(1, 3 * CUTOFF)) | 1
-            n = rng.getrandbits(d.bit_length() + rng.randint(0, 2 * CUTOFF))
-            assert orbit._quotient(n, d) == n // d, (n.bit_length(),
-                                                     d.bit_length())
-        assert len(calls) >= 5
-
-    def test_edges(self, monkeypatch):
-        calls = _newton_calls(monkeypatch)
-        rng = random.Random(0x22)
-        cases = []
-        for bits in (1, 2, 17, CUTOFF - 1, CUTOFF, CUTOFF + 1, 2 * CUTOFF + 9):
-            # a power of two, all ones, and a random divisor
-            for d in (1 << (bits - 1), (1 << bits) - 1,
-                      rng.getrandbits(bits) | (1 << (bits - 1))):
-                cases += [(0, d), (d - 1, d), (d, d), (2 * d - 1, d)]  # q = 0, 1
-                for qbits in (CUTOFF, CUTOFF + 1) if bits > 17 else ():
-                    q = rng.getrandbits(qbits) | (1 << (qbits - 1))
-                    # an exact multiple and its neighbour, and 2^j - 1
-                    cases += [(q * d, d), (q * d - 1, d),
-                              ((1 << (qbits + bits)) - 1, d)]
-        for n, d in cases:
-            assert orbit._quotient(n, d) == n // d, (n.bit_length(),
-                                                     d.bit_length())
-        assert len(calls) >= 20
+    """The jump's Newton division: the reciprocal and its product against
+    their bounds, and jumps that divide that way against the references."""
 
     def test_reciprocal_bound(self):
         # 4^L / d - 2 < r <= 4^L / d, i.e. 0 <= 4^L - r d < 2d
@@ -228,38 +214,98 @@ class TestQuotient:
                 r = orbit._reciprocal(d)
                 assert 0 <= (1 << (2 * bits)) - r * d < 2 * d, (bits, d & 7)
 
-    def test_near_quotient_is_off_by_at_most_one(self):
+    def test_reciprocal_product_is_the_floor_or_one_less(self):
+        # the jump's estimate: for n < 4^L / 4, 2n / 4^L < 1/2
         rng = random.Random(0x24)
-        for _ in range(30):
-            d = rng.getrandbits(rng.randint(17, 3 * CUTOFF))
-            d |= 1 << max(16, d.bit_length() - 1)
-            n = rng.getrandbits(d.bit_length() + rng.randint(1, 2 * CUTOFF))
-            n = max(n, d)
-            assert abs(orbit._near_quotient(n, d) - n // d) <= 1
+        for bits in (1, 2, 64, CUTOFF, CUTOFF + 1, 2 * CUTOFF + 9):
+            for d in (1 << (bits - 1), (1 << bits) - 1,
+                      rng.getrandbits(bits) | (1 << (bits - 1))):
+                r = orbit._reciprocal(d)
+                top = (1 << (2 * bits - 2)) - 1
+                for n in (0, d - 1, d, top, top // d * d, rng.randint(0, top)):
+                    q = (n * r) >> (2 * bits)
+                    assert n // d - q in (0, 1), (bits, n.bit_length())
 
     def test_jump_across_a_lowered_cutoff(self, monkeypatch, resumed):
-        # with the cutoff at 256 bits, the last doublings and the resumed
-        # triple's first one divide by Newton's method, several levels deep
         monkeypatch.setattr(orbit, "_NEWTON_BITS", 256)
-        calls = _newton_calls(monkeypatch)
-        for t, n in ((validate_triple(0, 1, -1), 3000),
-                     (validate_triple(-5, 9, -3), 1100), (resumed, 1500)):
+        calls = _reciprocal_calls(monkeypatch)
+        for t, n in _jumps_across_256(resumed):
             m, after = jump(t, n)
             assert (m, after) == step_loop(t, n), n
             assert m == bisect_prefix(t, n), n
         assert max(calls) > 4 * 256
 
+    @pytest.mark.parametrize("name", CORRUPTIONS)
+    def test_a_wrong_reciprocal_never_gives_a_wrong_result(
+            self, monkeypatch, resumed, name):
+        # with the cutoff at 256 bits, one _reciprocal call at a time, at
+        # every depth of its recursion, returns a wrong value: the jump
+        # either still returns the references' result or raises
+        monkeypatch.setattr(orbit, "_NEWTON_BITS", 256)
+        calls = _reciprocal_calls(monkeypatch)
+        real, wrong = orbit._reciprocal, CORRUPTIONS[name]
+        raised = tried = 0
+        for t, n in _jumps_across_256(resumed):
+            expected = step_loop(t, n)
+            calls.clear()
+            assert jump(t, n) == expected
+            for chosen in range(len(calls)):
+                seen = []
+
+                def corrupted(d):
+                    i = len(seen)  # the call's index, before it recurses
+                    seen.append(d)
+                    r = real(d)
+                    return wrong(r) if i == chosen else r
+                monkeypatch.setattr(orbit, "_reciprocal", corrupted)
+                tried += 1
+                try:
+                    got = jump(t, n)
+                except ConditionViolation:
+                    raised += 1
+                else:
+                    assert got == expected, (n, chosen)
+                assert len(seen) > chosen
+        # within 2 of 4^L / d costs corrections only; far off, the certificate
+        # refuses every estimate
+        assert tried == 21
+        assert raised == (tried if name in ("r//2", "0") else 0)
+
     def test_jump_across_the_cutoff(self, monkeypatch):
         # the last two doublings of a 2^18-bit jump, k = 81920 and 98302,
-        # divide above the cutoff; with the cutoff out of reach, all by `//`
-        calls = _newton_calls(monkeypatch)
+        # divide above the cutoff, by divisors of k + 8 bits whose
+        # reciprocals recurse once; with the cutoff out of reach, all by `//`
+        calls = _reciprocal_calls(monkeypatch)
         t, n = validate_triple(0, 1, -1), 1 << 18
         m, after = jump(t, n)
-        assert len(calls) == 2 and min(calls) > CUTOFF
+        assert calls == [81928, 40968, 98310, 49159]
         assert shifted(t, m, n) == after
         monkeypatch.setattr(orbit, "_NEWTON_BITS", 1 << 40)
         assert jump(t, n) == (m, after)
-        assert len(calls) == 2
+        assert len(calls) == 4
+
+    def test_untruncated_divisor_above_the_cutoff(self, monkeypatch):
+        # a wide c and a small b: the first doubling has k = 139998 and s =
+        # -5, so it divides by all of c, where 2 num / 4^L is only below 1/2
+        calls = _reciprocal_calls(monkeypatch)
+        t, n = validate_triple(0, (1 << 140_000) + 1, -1), 1 << 18
+        m, after = jump(t, n)
+        assert calls[0] == 140_001
+        assert shifted(t, m, n) == after
+        monkeypatch.setattr(orbit, "_NEWTON_BITS", 1 << 40)
+        assert jump(t, n) == (m, after)
+
+    def test_a_gmpy2_stand_in_divides_by_floor_division(self, monkeypatch):
+        calls = _reciprocal_calls(monkeypatch)
+        t, n = validate_triple(0, 1, -1), 1 << 18
+        expected = jump(t, n)
+        calls.clear()
+
+        class mpz(int):  # stands in for gmpy2.mpz, which takes `//`
+            pass
+        monkeypatch.setattr(orbit, "mpz", mpz)
+        assert jump(t, n) == expected
+        assert calls == []
 
 
 class TestStateText:
