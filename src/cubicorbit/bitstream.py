@@ -112,7 +112,11 @@ class BitStream:
 
     @classmethod
     def from_words(cls, words: Iterable[int]) -> "BitStream":
-        return cls.from_bytes(as_words32(words).astype(">u4").tobytes())
+        """The stream of a one-dimensional sequence of 32-bit words."""
+        arr = as_words32(words)
+        if arr.ndim != 1:  # flattening would read a matrix as one stream
+            raise ValueError("words must be one-dimensional")
+        return cls.from_bytes(arr.astype(">u4").tobytes())
 
     def __reduce__(self):  # value and length only: a copied `packed` is writable
         return BitStream, (self.value, self.length)

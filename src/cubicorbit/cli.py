@@ -39,6 +39,7 @@ from .bitstream import (BitStream, OutputFormat, check_whole_units, read_bits,
 from .mt19937 import (MT19937, DEFAULT_SEED, N, RankDeficient, lag_pairs_csv,
                       load_recurrence_matrices, recover_matrices,
                       scan_conditions_ab, verify_recurrence)
+# isolate_root_bits is not called here: it stays a cli name for perfbench's spans
 from .orbit import (CoeffTriple, ConditionViolation, OrbitState,
                     generate_bits, isolate_root_bits, shifted, validate_triple)
 from .seeds import (build_seed_set, field_distinctness_check, gap_report,
@@ -187,6 +188,24 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _first_wrong_bit(triple: CoeffTriple, got: int, n: int) -> int:
+    """Index of the first wrong bit of n bits got that fail the certificate.
+
+    The first j bits certify exactly when they are right, so this bisects
+    on j with shifted() alone, each try shifting on from the last prefix
+    that certified: no second jump, and about one certificate's work.
+    """
+    good, bad, t = 0, n, triple  # t: the triple after the first `good` bits
+    while bad - good > 1:
+        j = (good + bad) // 2
+        try:
+            t = shifted(t, (got >> (n - j)) & ((1 << (j - good)) - 1), j - good)
+            good = j
+        except ConditionViolation:
+            bad = j
+    return good
+
+
 def cmd_verify(args) -> int:
     if args.bits < 1:
         raise ValueError("verify: --bits must be at least 1")
@@ -195,9 +214,7 @@ def cmd_verify(args) -> int:
     try:  # the shifted-triple certificate, independent of how got was found
         shifted(triple, got, args.bits)
     except ConditionViolation:
-        expected = isolate_root_bits(triple, args.bits)[1]
-        first = args.bits - (got ^ expected).bit_length()
-        print(f"fail: first mismatch at bit {first}")
+        print(f"fail: first mismatch at bit {_first_wrong_bit(triple, got, args.bits)}")
         return EXIT_FAIL
     print(f"pass: {args.bits} bits of ({triple.b},{triple.c},{triple.d}) "
           f"match the root expansion")
@@ -418,6 +435,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.fn(args)
     except (ValueError, OSError) as exc:  # every package error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a request too large: numpy refuses it up front
+        command = " ".join(filter(None, (args.cmd, getattr(args, "mt_cmd", None))))
+        print(f"error: {command}: out of memory" + (f" ({exc})" if str(exc) else ""),
+              file=sys.stderr)
         return EXIT_USAGE
 
 

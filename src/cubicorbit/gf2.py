@@ -4,16 +4,19 @@ A vector in F_2^32 is a plain Python int in [0, 2**32); bit position
 31 (the most significant bit) is component 1. A 32x32 matrix is held
 row-wise, row 1 first, each row an int under the same convention.
 
-This module owns that layout: `_transpose` is its one transpose, on
-Python ints, and `Gf2Matrix32.apply` its one product, on every word of a
-uint32 array. Only the product and its byte tables import numpy.
+This module owns that layout. `_words32` is its one check of 32 words,
+of every matrix's rows and every transpose's input; `_transpose` turns
+columns into rows for `from_columns` by zipping 0/1 text; and
+`Gf2Matrix32.apply` is its one product, by byte tables read straight off
+the rows. Only the tables and the product import numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -22,30 +25,22 @@ WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
 
 
-def _transpose(words: Sequence[int]) -> List[int]:
-    """The 32 words (MSB first) of a 32x32 bit matrix read down its columns.
-
-    Five rounds of masked block swaps (Warren, Hacker's Delight, 7-3): the
-    round at j = 16, 8, 4, 2, 1 swaps, in every 2j x 2j block, the top
-    right j x j block with the bottom left one. The mask picks the low j
-    bits of every 2j bits of a word, the columns of the top right block.
-    """
+def _words32(words: Iterable[int]) -> Tuple[int, ...]:
+    """The words as 32 ints in [0, 2^32); ValueError for anything else."""
     try:
-        rows = [operator.index(w) for w in words]
-    except TypeError:  # a float or another non-integer word: fails below
-        rows = []
+        rows = tuple(operator.index(w) for w in words)
+    except TypeError:  # a float or another non-integer word
+        rows = ()
     if len(rows) != WORD_BITS or not all(0 <= r <= WORD_MASK for r in rows):
         raise ValueError("expected 32 words: integers in [0, 2^32)")
-    j, mask = 16, 0x0000FFFF
-    while j:
-        for k in range(WORD_BITS):
-            if not k & j:  # row k of a block's top half, row k + j below it
-                t = (rows[k] ^ (rows[k + j] >> j)) & mask
-                rows[k] ^= t
-                rows[k + j] ^= t << j
-        j >>= 1
-        mask ^= mask << j
     return rows
+
+
+def _transpose(words: Iterable[int]) -> List[int]:
+    """The 32 words (MSB first) of a 32x32 bit matrix read down its columns:
+    bit 31 - i of word j becomes bit 31 - j of word i, by 0/1 text."""
+    lines = map("{:032b}".format, _words32(words))
+    return [int("".join(column), 2) for column in zip(*lines)]
 
 
 @dataclass(frozen=True)
@@ -55,46 +50,36 @@ class Gf2Matrix32:
     rows: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.rows) != WORD_BITS:
-            raise ValueError(f"expected 32 rows, got {len(self.rows)}")
-        for r in self.rows:
-            if not 0 <= r <= WORD_MASK:
-                raise ValueError("row out of 32-bit range")
+        object.__setattr__(self, "rows", _words32(self.rows))  # frozen
 
     def row(self, i: int) -> int:
         """Row by 1-based index (row 1 produces the result's MSB)."""
         return self.rows[i - 1]
 
-    def _byte_tables(self) -> np.ndarray:
+    @functools.cached_property
+    def _tables(self) -> np.ndarray:
         """Four read-only 256-entry tables: table k maps byte v to M (v << 8k).
 
-        They come from the matrix's columns, the images of the single-bit
-        words. The first call builds them and keeps them in the instance
-        dict (a frozen dataclass has no setter), so a matrix applied many
-        times builds them once.
+        Bit 31 - i of M y is the parity of row i + 1 AND y, so an entry packs
+        the parities of the rows with v << 8k, row 1 first. Built on first use.
         """
-        tables = self.__dict__.get("_tables")
-        if tables is None:
-            import numpy as np
-            # M (1 << j) at index j
-            cols = np.array(_transpose(self.rows)[::-1], dtype=np.uint32)
-            bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                                 bitorder="little").astype(bool)  # bit b of v
-            tables = np.bitwise_xor.reduce(
-                np.where(bits, cols.reshape(4, 1, 8), np.uint32(0)), axis=2)
-            tables.flags.writeable = False
-            self.__dict__["_tables"] = tables
+        import numpy as np
+        shifts = np.array([[0], [8], [16], [24]], dtype=np.uint32)
+        probes = np.arange(256, dtype=np.uint32) << shifts  # v << 8k at [k, v]
+        rows = np.array(self.rows, dtype=np.uint32)
+        parity = np.bitwise_count(probes[..., None] & rows) & 1  # at [k, v, i]
+        tables = np.packbits(parity, axis=-1).view(">u4")[..., 0].astype(np.uint32)
+        tables.flags.writeable = False
         return tables
 
     def apply(self, words: np.ndarray) -> np.ndarray:
         """M y for every word y of a uint32 array, by byte tables.
 
         M y is linear in y, so it is the XOR of M applied to each of y's four
-        bytes in place, read from _byte_tables(). The bytes are read
-        little-endian whatever the host order.
+        bytes in place, read from _tables, little-endian whatever the host order.
         """
         import numpy as np
-        tables = self._byte_tables()
+        tables = self._tables
         data = np.ascontiguousarray(words, dtype="<u4").view(np.uint8).reshape(-1, 4)
         acc = np.take(tables[0], data[:, 0])
         for k in (1, 2, 3):
@@ -102,7 +87,7 @@ class Gf2Matrix32:
         return acc
 
     @classmethod
-    def from_columns(cls, columns: Sequence[int]) -> "Gf2Matrix32":
+    def from_columns(cls, columns: Iterable[int]) -> "Gf2Matrix32":
         """Matrix from its 32 columns, column 1 first, as 32-bit ints."""
         return cls(tuple(_transpose(columns)))
 

@@ -47,6 +47,7 @@ isolate_root_bits() also spells m out as 0/1 text.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -115,6 +116,10 @@ class CoeffTriple:
 
     def __post_init__(self) -> None:
         b, c, d = self.b, self.c, self.d
+        if not type(b) is type(c) is type(d) is int:  # no float, bool or mpz
+            raise ValueError(f"a triple's coefficients must be int, got "
+                             f"({type(b).__name__},{type(c).__name__},"
+                             f"{type(d).__name__})")
         if _square_exceeds(abs(b), 3 * c):
             raise ConditionViolation("i", b, c, d)
         if d >= 0:
@@ -141,9 +146,24 @@ class CoeffTriple:
                    abs(self.d).bit_length())
 
 
+def _coefficient(name: str, v: int) -> int:
+    """v as an int, through operator.index: a numpy integer is taken, and a
+    float, Fraction, Decimal or str is refused, not truncated."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"coefficient {name} is not an integer: {v!r:.40}"
+                         ) from None
+
+
 def validate_triple(b: int, c: int, d: int) -> CoeffTriple:
-    """Check conditions (i)-(iii) and return the validated triple."""
-    return CoeffTriple(int(b), int(c), int(d))
+    """Check conditions (i)-(iii) and return the validated triple.
+
+    A coefficient that is not an integer raises ValueError, rather than
+    being truncated to the triple of another cubic.
+    """
+    return CoeffTriple(_coefficient("b", b), _coefficient("c", c),
+                       _coefficient("d", d))
 
 
 def step(t: CoeffTriple) -> Tuple[CoeffTriple, int]:

@@ -3,6 +3,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -611,6 +612,36 @@ class TestVerify:
             assert out == f"fail: first mismatch at bit {bad}\n"
             assert err == ""
 
+    @pytest.mark.parametrize("bad", [0, 1, 5, 2047, 4094, 4095])
+    def test_a_wrong_jump_fails_with_first_mismatch(self, monkeypatch, capsys,
+                                                    bad):
+        # the first, a middle and the last bit of a faulty jump: the failure
+        # branch finds it with the certificate alone, not by a second jump
+        calls = []
+
+        def flipped(t, n):
+            calls.append(n)
+            m, state = jump(t, n)
+            return m ^ (1 << (n - 1 - bad)), state
+        monkeypatch.setattr(orbit, "jump", flipped)
+        code, out, err = run_cli(capsys, "verify", "--b", "0", "--c", "1",
+                                 "--d", "-1", "--bits", "4096")
+        assert (code, out, err) == (1, f"fail: first mismatch at bit {bad}\n", "")
+        assert calls == [4096]
+
+    def test_a_scrambled_tail_fails_at_its_first_wrong_bit(self, monkeypatch,
+                                                           capsys):
+        rng, n = random.Random(34), 4096
+        true = jump(validate_triple(3, 7, -3), n)[0]
+        for _ in range(50):
+            bad = rng.randrange(n)
+            tail = n - 1 - bad  # the bits after the wrong one, drawn at random
+            wrong = (((true >> tail) ^ 1) << tail) | rng.getrandbits(tail)
+            monkeypatch.setattr(orbit, "jump", lambda t, k, m=wrong: (m, t))
+            code, out, _ = run_cli(capsys, "verify", "--b", "3", "--c", "7",
+                                   "--d", "-3", "--bits", str(n))
+            assert (code, out) == (1, f"fail: first mismatch at bit {bad}\n")
+
     def test_pass_runs_the_jump_once(self, monkeypatch, capsys):
         calls = []
 
@@ -775,6 +806,20 @@ class TestMt:
         code, stdout, err = run_cli(capsys, "mt", cmd, "--count", count)
         assert (code, stdout) == (2, "")
         assert err == f"error: mt {cmd}: --count must be at least 625\n"
+
+    @pytest.mark.parametrize("cmd", ["verify", "gen"])
+    def test_count_too_large_for_memory_is_usage_error(self, tmp_path, capsys,
+                                                        cmd):
+        # 10^14 words are 364 TiB: numpy refuses before it allocates, and
+        # the error is one line, with no traceback and no file
+        out = tmp_path / "mt.bin"
+        extra = ["--out", str(out)] if cmd == "gen" else []
+        code, stdout, err = run_cli(capsys, "mt", cmd, "--count", str(10**14),
+                                    *extra)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: mt {cmd}: out of memory (Unable to allocate")
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_verify_at_625_checks_one_index(self, capsys):
         code, out, _ = run_cli(capsys, "mt", "verify", "--count", "625")

@@ -36,28 +36,30 @@ class TestMatrix:
             assert gf2_mul(m, u ^ v) == gf2_mul(m, u) ^ gf2_mul(m, v)
         assert (m.apply(us ^ vs) == m.apply(us) ^ m.apply(vs)).all()
 
-    def test_apply_builds_its_tables_once(self, monkeypatch):
-        transposes = []
-        transpose = gf2._transpose
-
-        def counted(words):
-            transposes.append(1)
-            return transpose(words)
-
-        monkeypatch.setattr(gf2, "_transpose", counted)
+    def test_apply_builds_its_tables_once(self):
         rng = random.Random(3)
         m = random_matrix(rng)
         assert "_tables" not in m.__dict__  # nothing built before first use
-        vs = [rng.getrandbits(32) for _ in range(50)]
-        for _ in range(2):
-            got = m.apply(np.array(vs, dtype=np.uint32)).tolist()
-            assert got == [gf2_mul(m, v) for v in vs]
-        assert len(transposes) == 1
-        tables = m._byte_tables()
-        assert len(transposes) == 1
+        vs = np.array([rng.getrandbits(32) for _ in range(50)], dtype=np.uint32)
+        assert m.apply(vs).tolist() == [gf2_mul(m, v) for v in vs.tolist()]
+        tables = m.__dict__["_tables"]
+        assert m.apply(vs).tolist() == [gf2_mul(m, v) for v in vs.tolist()]
+        assert m._tables is tables  # the same array: built once
+        assert [int(tables[k, v]) for k in range(4) for v in (1, 0x80, 0xFF)] == \
+            [gf2_mul(m, v << 8 * k) for k in range(4) for v in (1, 0x80, 0xFF)]
         assert not tables.flags.writeable
         with pytest.raises(ValueError):
             tables[0, 1] = 0
+
+    def test_rows_are_checked_when_built(self):
+        # a float or text row is refused at once, not truncated by apply
+        for rows in ((1.5,) * 32, (0,) * 31 + (1.0,), (0,) * 31 + ("1",)):
+            with pytest.raises(ValueError, match="32 words"):
+                Gf2Matrix32(rows)
+        words = np.arange(32, dtype=np.uint32)  # numpy words are held as ints
+        m = Gf2Matrix32(words)
+        assert m.rows == tuple(range(32)) and type(m.row(2)) is int
+        assert m == Gf2Matrix32(tuple(range(32)))
 
     def test_row_indexing_is_one_based(self):
         m = Gf2Matrix32((0xDEADBEEF,) + (0,) * 31)

@@ -1,11 +1,13 @@
 import copy
 import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cubicorbit import (BitStream, ConditionViolation, OrbitState,
+from cubicorbit import (BitStream, CoeffTriple, ConditionViolation, OrbitState,
                         OutputFormat, generate_bits, inverse_step,
                         isolate_root_bits, step, validate_triple)
 from cubicorbit.bitstream import read_bits, write_bits
@@ -37,6 +39,26 @@ class TestValidate:
         with pytest.raises(ConditionViolation) as exc:
             validate_triple(2, 1, 1)
         assert exc.value.condition == "i"
+
+    @pytest.mark.parametrize("c", [1.9, 1.0, Fraction(1), Decimal(1), "1"],
+                             ids=["float", "float-whole", "fraction", "decimal", "str"])
+    def test_coefficients_must_be_integers(self, c):
+        # int() would take 1.9 as 1: the bits of another cubic
+        with pytest.raises(ValueError, match="coefficient c is not an integer"):
+            validate_triple(0, c, -1)
+
+    def test_numpy_integers_give_the_plain_triple(self):
+        t = validate_triple(np.int64(0), np.int64(1), np.int64(-1))
+        assert t == validate_triple(0, 1, -1)
+        assert [type(v) for v in t.as_tuple()] == [int, int, int]
+
+    @pytest.mark.parametrize("triple", [
+        (0, 1.5, -1), (0.0, 1, -1), (0, 1, -1.0), (0, 1, np.int64(-1)), (False, 1, -1)])
+    def test_a_triple_holds_only_ints(self, triple):
+        # x^3 + 1.5x - 1 passes (i)-(iii), but its bits are not those of
+        # x^3 + x - 1, which a 1.5 truncated to 1 would give
+        with pytest.raises(ValueError, match="must be int"):
+            CoeffTriple(*triple)
 
 
 def fails_condition_i(b: int, c: int) -> bool:
@@ -276,6 +298,14 @@ class TestPackWords:
              "wide", "negative", "wide-array", "negative-array"])
     def test_from_words_takes_only_32_bit_integers(self, words):
         with pytest.raises(ValueError, match="32-bit words"):
+            BitStream.from_words(words)
+
+    @pytest.mark.parametrize("words", [
+        [[1, 2], [3, 4]], np.zeros((2, 2), dtype=np.uint32),
+        np.array(7, dtype=np.uint32)],
+        ids=["nested", "matrix", "zero-dimensional"])
+    def test_from_words_takes_only_one_dimension(self, words):
+        with pytest.raises(ValueError, match="words must be one-dimensional"):
             BitStream.from_words(words)
 
     def test_from_words_takes_any_integer_dtype(self):
